@@ -96,8 +96,13 @@ def dbscan_reference(data: Dataset, epsilon: float, m: int) -> LocalLabeling:
     coords = data.coords
 
     def ball(i):
-        d = np.sqrt(((coords - coords[i]) ** 2).sum(axis=1))
-        return np.flatnonzero(d <= epsilon)
+        # One coordinate at a time in ascending order, as the scalar loop
+        # sums: numpy's sum(axis=1) pairs terms differently from d = 8 on.
+        s = np.zeros(n)
+        for j in range(data.dim):
+            diff = coords[:, j] - coords[i, j]
+            s += diff * diff
+        return np.flatnonzero(np.sqrt(s) <= epsilon)
 
     core = [len(ball(i)) >= m for i in range(n)]
     labels: dict[int, int] = {}

@@ -163,6 +163,7 @@ def _report_line(name: str, data: Dataset, args, result: ClusterResult) -> str:
         f"noise={result.noise_count}",
         f"z={s.region_count}",
         f"w={s.max_region_size}",
+        f"t_tree={s.t_tree:.6f}",
         f"t_canopy={s.t_canopy:.6f}",
         f"t_regions={s.t_regions:.6f}",
         f"t_map={s.t_map:.6f}",

@@ -50,6 +50,24 @@ def distance_coords(a, b) -> float:
     return math.sqrt(s)
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block of squared Euclidean distances: entry (i, j) is between row i of
+    ``a`` and row j of ``b``.
+
+    Accumulates one coordinate at a time in ascending order, the order of
+    ``distance_coords``, so ``np.sqrt`` of entry (i, j) is bit-identical to
+    ``distance_coords(a[i], b[j])`` at every dimension. (numpy's
+    ``sum(axis=-1)`` pairs its terms differently from eight coordinates on.)
+    """
+    out = np.zeros((len(a), len(b)))
+    diff = np.empty_like(out)
+    for j in range(a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return out
+
+
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points of equal dimension."""
     return distance_coords(a.coords, b.coords)
@@ -163,10 +181,15 @@ def save_csv(data: Dataset, path) -> None:
 
 @dataclass
 class RunStats:
-    """Per-run instrumentation surfaced in reports and scaling checks."""
+    """Per-run instrumentation surfaced in reports and scaling checks.
+
+    The stage times (whole-dataset tree build, canopy with its thresholds,
+    regions, map, reduce) together make up ``t_total``.
+    """
 
     region_count: int = 0
     max_region_size: int = 0
+    t_tree: float = 0.0
     t_canopy: float = 0.0
     t_regions: float = 0.0
     t_map: float = 0.0

@@ -17,8 +17,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
+import numpy as np
+
 from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from .core import NOISE, ClusterResult, Dataset, RunStats, Sphere
+from .core import NOISE, ClusterResult, Dataset, RunStats, Sphere, squared_distances
 from .density import DensityConfig, LocalLabeling, density_cluster, estimate_epsilon
 from .sstree import SsTree, bounding_sphere
 from .unionfind import UnionFind
@@ -60,6 +62,16 @@ class Region:
     m: int
 
 
+def _nearest_free(coords, center, free) -> list[tuple[int, float]]:
+    """(id, distance) of the points where ``free`` is set, nearest to
+    ``center`` first with ties by lower id: the order and the distance bits of
+    ``SsTree.knn``."""
+    cand = np.flatnonzero(free)
+    dist = np.sqrt(squared_distances(np.array([center]), coords[cand])[0])
+    order = np.lexsort((cand, dist))
+    return list(zip(cand[order].tolist(), dist[order].tolist()))
+
+
 def build_regions(
     data: Dataset,
     canopies: list[Canopy],
@@ -77,8 +89,9 @@ def build_regions(
     Afterwards the per-point cap is enforced: a point held by more than
     ``cfg.cap`` regions keeps only those with the nearest centers (ties by
     lower region id). The cap never drops a point's nearest region, so
-    coverage survives. Regions that fell below the floor regrow from points
-    that still have cap budget; if none exist the smaller region is accepted.
+    coverage survives. Regions that fell below the floor regrow from the
+    nearest points (ties by lower id) that still have cap budget; when none is
+    left the smaller region is accepted.
     """
     n = len(data)
     if tree is None:
@@ -135,37 +148,51 @@ def build_regions(
             if excess == 0:
                 break
 
+    count = np.zeros(n, dtype=np.intp)
+    for pid, rids in membership.items():
+        count[pid] = len(rids)
+    under = int(np.count_nonzero(count < cap))  # points that may join a region
     for r in regions:
         missing = floor - len(r.member_ids)
         if missing <= 0:
             continue
+        center = r.sphere.center
+        spare = under - sum(1 for pid in r.member_ids if count[pid] < cap)
         k = floor
-        while missing > 0:
-            for pid, d in tree.knn(r.sphere.center, k):
+        while missing > 0 and spare > 0:
+            if spare < k:
+                # Fewer points could join than the query would return: rank
+                # just those.
+                free = count < cap
+                free[list(r.member_ids)] = False
+                nearest = _nearest_free(coords, center, free)
+            else:
+                nearest = tree.knn(center, k)
+            for pid, d in nearest:
                 if missing == 0:
                     break
-                if pid in r.member_ids:
-                    continue
-                if len(membership.get(pid, ())) >= cap:
+                if pid in r.member_ids or count[pid] >= cap:
                     continue
                 r.member_ids.add(pid)
-                membership.setdefault(pid, []).append(r.id)
+                count[pid] += 1
+                if count[pid] == cap:
+                    under -= 1
                 if d > r.sphere.radius:
-                    r.sphere = Sphere(r.sphere.center, d)
+                    r.sphere = Sphere(center, d)
                 missing -= 1
-            if missing == 0 or k >= n:
-                break
+                spare -= 1
             k = min(n, k * 2)
     return regions
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
-    """One independent work item: index the region's members, then run the
-    density merge with the region's own scan radius. Pure function of its
-    arguments, so regions can run on any worker in any order."""
+    """One independent work item: the density merge of the region's members
+    with the region's own scan radius. Regions of up to ``_MATRIX_CAP`` points
+    (1024) are merged from one distance block with no index; only larger ones
+    build an SS+tree of their members. Pure function of its arguments, so
+    regions can run on any worker in any order."""
     pts = [data[pid] for pid in sorted(region.member_ids)]
-    index = SsTree.build(pts)
-    return density_cluster(pts, DensityConfig(region.m, region.epsilon), index)
+    return density_cluster(pts, DensityConfig(region.m, region.epsilon))
 
 
 class _Reducer:
@@ -233,7 +260,9 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     n = len(data)
     if n == 0:
         return ClusterResult([], set(), RunStats())
+    t0 = time.perf_counter()
     tree = SsTree.build(data)
+    t_tree = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m, tree=tree)
@@ -263,9 +292,12 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
                 t_reduce += time.perf_counter() - f0
     t_map = time.perf_counter() - t0 - t_reduce
 
+    f0 = time.perf_counter()
     result = red.finish()
+    t_reduce += time.perf_counter() - f0
     result.stats.region_count = len(regions)
     result.stats.max_region_size = max((len(r.member_ids) for r in regions), default=0)
+    result.stats.t_tree = t_tree
     result.stats.t_canopy = t_canopy
     result.stats.t_regions = t_regions
     result.stats.t_map = t_map

@@ -50,6 +50,7 @@ def test_run_dapc_end_to_end(tmp_path):
     assert rep.startswith("algorithm=dapc")
     assert "\n" not in rep
     assert "clusters=" in rep and "t_total=" in rep
+    assert float(dict(kv.split("=") for kv in rep.split())["t_tree"]) > 0
     # report cluster count agrees with the emitted labels
     reported = int(dict(kv.split("=") for kv in rep.split())["clusters"])
     emitted = {lb for lb in load_labels(out) if lb != -1}

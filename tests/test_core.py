@@ -1,9 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from dapclust.core import Dataset, Point, Sphere, distance, load_csv, save_csv
+from dapclust.core import (
+    Dataset,
+    Point,
+    Sphere,
+    distance,
+    distance_coords,
+    load_csv,
+    save_csv,
+    squared_distances,
+)
 
 
 def loop_distance(a, b):
@@ -34,6 +44,18 @@ def test_distance_matches_loop_oracle():
         a = Point(0, tuple(rng.uniform(-100, 100) for _ in range(d)))
         b = Point(1, tuple(rng.uniform(-100, 100) for _ in range(d)))
         assert distance(a, b) == pytest.approx(loop_distance(a.coords, b.coords), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 16, 33])
+def test_squared_distances_bit_identical_to_scalar_loop(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(25, dim))
+    b = np.concatenate([rng.normal(size=(20, dim)) * 100, a[:5]])
+    block = np.sqrt(squared_distances(a, b))
+    assert block.shape == (25, 25)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            assert block[i, j] == distance_coords(tuple(a[i]), tuple(b[j]))
 
 
 def test_distance_triangle_inequality():

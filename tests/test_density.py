@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import dapclust.density as density
 from dapclust.baselines import dbscan_reference
 from dapclust.core import NOISE, Dataset
 from dapclust.density import DensityConfig, estimate_epsilon, density_cluster
@@ -197,3 +199,34 @@ def test_epsilon_zero_only_duplicates():
     lab = run_density(data, m=2, epsilon=0.0)
     assert lab.labels[0] == lab.labels[1] == 0
     assert lab.labels[2] == NOISE
+
+
+def numpy_radius(X, k):
+    """Point 0's k-th nearest distance (self excluded) as numpy's row sum
+    computes it. From d = 8 on that sum can differ in the last bit from the
+    scalar loop, so a neighbour sits on the radius in one and past it in the
+    other."""
+    return float(np.sort(np.sqrt(((X - X[0]) ** 2).sum(axis=1)))[k])
+
+
+# Sets of 30 normal 8-D points whose numpy_radius(X, 3) split a row-summing
+# reference from the density step.
+D8_SPLIT_SEEDS = [16, 31, 39, 42, 147]
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["matrix", "tree"])
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_both_paths_match_reference_at_high_dimension(dim, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(density, "_MATRIX_CAP", cap)
+    for s in list(range(20)) + (D8_SPLIT_SEEDS if dim == 8 else []):
+        rng = np.random.default_rng(s)
+        X = rng.normal(size=(30, dim))
+        if s % 2:  # heavy duplication: 40 rows drawn from 8 distinct points
+            X = X[rng.integers(0, 8, size=40)]
+        data = Dataset.from_coords(X.tolist())
+        epsilon = numpy_radius(X, 3)
+        got = density_cluster(data, DensityConfig(3, epsilon))
+        want = dbscan_reference(data, epsilon, 3)
+        assert got.labels == want.labels, s
+        assert got.core_flags == want.core_flags, s

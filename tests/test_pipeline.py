@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from dapclust.canopy import CanopyConfig, canopy_cluster, estimate_thresholds
+from dapclust import pipeline
+from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import NOISE, Dataset
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
 from dapclust.density import DensityConfig, density_cluster, estimate_epsilon
@@ -227,3 +229,77 @@ def test_stats_populated():
     assert res.stats.max_region_size >= 3
     assert res.stats.t_total > 0
     assert res.stats.uf_ops > 0
+
+
+def test_regrowth_takes_nearest_points_with_cap_budget(monkeypatch):
+    # Three canopies over one 6-point group centred on the origin: under a
+    # cap of 2 the third region sheds four points and must regrow by two.
+    # Every group point is then full, so only the four outliers can join:
+    # ids 6, 8 and 9 at distance 5 from the center and id 7 at 6.
+    group = [(x, 0.0) for x in (-0.25, -0.15, -0.05, 0.05, 0.15, 0.25)]
+    outliers = [(-5.0, 0.0), (6.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
+    data = Dataset.from_coords(group + outliers)
+    canopies = [Canopy(0, frozenset(range(6)))] * 3
+    cfg = PipelineConfig(m=4, max_regions_per_point=2)
+    ranked = []
+    direct = pipeline._nearest_free
+
+    def spy(coords, center, free):
+        out = direct(coords, center, free)
+        ranked.append(out)
+        return out
+
+    monkeypatch.setattr(pipeline, "_nearest_free", spy)
+    regions = build_regions(data, canopies, cfg)
+    # The knn query of 8 would return more points than could join, so the
+    # four candidates are ranked directly, by distance and then by id.
+    assert ranked == [[(6, 5.0), (8, 5.0), (9, 5.0), (7, 6.0)]]
+    assert regions[2].member_ids == {2, 3, 6, 8}
+    assert regions[2].sphere.radius == 5.0
+
+
+def test_regrowth_stops_when_no_point_has_cap_budget():
+    # With a cap of 1 every covered point is full once the cap is applied, so
+    # regions left short stay short without asking for more neighbours.
+    data, _ = make_blobs(300, 3, seed=29)
+    cfg = PipelineConfig(m=4, max_regions_per_point=1)
+    canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
+    tree = SsTree.build(data)
+    asked = []
+
+    class CountingTree:
+        range = tree.range
+
+        def knn(self, q, k, include_self=True):
+            asked.append(k)
+            return tree.knn(q, k, include_self)
+
+    regions = build_regions(data, canopies, cfg, tree=CountingTree())
+    assert any(len(r.member_ids) < cfg.m for r in regions)
+    assert all(k == cfg.m for k in asked)  # only the pre-cap floor queries
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_nearest_free_matches_knn_order_and_distances(dim):
+    rng = random.Random(dim)
+    # Coordinates drawn mostly from three values: many points repeat, so
+    # their distances tie.
+    rows = [
+        tuple(rng.choice([0.0, 0.5, 1.0, rng.gauss(0, 1)]) for _ in range(dim))
+        for _ in range(80)
+    ]
+    data = Dataset.from_coords(rows)
+    tree = SsTree.build(data)
+    free = np.array([rng.random() < 0.5 for _ in range(80)])
+    for _ in range(10):
+        center = tuple(rng.gauss(0, 1) for _ in range(dim))
+        want = [(pid, d) for pid, d in tree.knn(center, 80) if free[pid]]
+        assert pipeline._nearest_free(data.coords, center, free) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stage_times_sum_to_total(workers):
+    data, _ = make_blobs(2000, 4, seed=31)
+    st = cluster(data, PipelineConfig(m=3, worker_count=workers)).stats
+    staged = st.t_tree + st.t_canopy + st.t_regions + st.t_map + st.t_reduce
+    assert 0.98 * st.t_total <= staged <= st.t_total
