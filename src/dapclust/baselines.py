@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterResult, Dataset, Point, RunStats
+from .core import ClusterResult, Dataset, Point, RunStats, squared_distances
 from .density import LocalLabeling
 
 
@@ -48,7 +48,7 @@ def lloyd(data: Dataset, cfg: KMeansConfig):
     centroids = coords[rng.sample(range(n), cfg.k)].copy()
     assign = None
     for _ in range(cfg.max_iters):
-        sq = ((coords[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        sq = squared_distances(coords, centroids)
         new_assign = sq.argmin(axis=1)  # ties go to the lowest centroid index
         if assign is not None and np.array_equal(new_assign, assign):
             break

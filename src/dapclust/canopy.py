@@ -86,15 +86,17 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig, tree: SsTree | None = None)
     canopies; every point belongs to at least one. Seed selection by id makes
     the output identical across runs and worker counts.
 
-    When a spatial index over the dataset is supplied, each iteration scans
-    only a Euclidean superset of the seed's t1 box instead of every remaining
-    candidate (the max-coordinate metric never exceeds the Euclidean one, so
-    radius t1*sqrt(dim) covers the box); the output is identical either way.
+    Each iteration scans only the candidates in a Euclidean superset of the
+    seed's t1 box, found with a range query on ``tree`` (built here when not
+    given; it must index ``data``). The max-coordinate metric never exceeds
+    the Euclidean one, so radius t1*sqrt(dim) covers the box.
     """
     n = len(data)
     canopies: list[Canopy] = []
     if n == 0:
         return canopies
+    if tree is None:
+        tree = SsTree.build(data)
     coords = data.coords
     alive = np.ones(n, dtype=bool)
     l2_radius = cfg.t1 * math.sqrt(max(data.dim, 1)) * (1.0 + 1e-12)
@@ -105,11 +107,8 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig, tree: SsTree | None = None)
         if next_seed == n:
             break
         seed = next_seed
-        if tree is not None:
-            near = np.array(tree.range(coords[seed], l2_radius), dtype=np.intp)
-            cand = near[alive[near]]
-        else:
-            cand = np.flatnonzero(alive)
+        near = np.array(tree.range(coords[seed], l2_radius), dtype=np.intp)
+        cand = near[alive[near]]
         cheap = np.abs(coords[cand] - coords[seed]).max(axis=1)
         members = cand[cheap <= cfg.t1]
         canopies.append(Canopy(seed, frozenset(int(i) for i in members)))

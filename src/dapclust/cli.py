@@ -12,7 +12,16 @@ import numpy as np
 from . import datagen
 from .baselines import KMeansConfig, dbscan_reference, kmeans
 from .canopy import CanopyConfig
-from .core import NOISE, ClusterResult, Dataset, RunStats, load_csv, save_csv
+from .core import (
+    NOISE,
+    ClusterResult,
+    Dataset,
+    RunStats,
+    distance_coords,
+    load_csv,
+    save_csv,
+    squared_distances,
+)
 from .metrics import adjusted_rand_index
 from .naive import NaiveConfig, naive_cluster
 from .pipeline import PipelineConfig, cluster
@@ -270,11 +279,10 @@ def epsilon_grid_report(named_datasets, m: int, grid_size: int = 20, out=None):
     for _name, data, _truth in named_datasets:
         coords = data.coords
         for i in range(len(coords)):
-            d = np.sqrt(((coords - coords[i]) ** 2).sum(axis=1))
-            d[i] = np.inf
-            lo = min(lo, float(d.min()))
-        span = coords.max(axis=0) - coords.min(axis=0)
-        hi = max(hi, float(np.sqrt((span**2).sum())))
+            sq = squared_distances(coords[i : i + 1], coords)[0]
+            sq[i] = np.inf
+            lo = min(lo, float(np.sqrt(sq.min())))
+        hi = max(hi, distance_coords(coords.max(axis=0), coords.min(axis=0)))
     grid = np.geomspace(lo, hi, grid_size)
     names = [name for name, _d, _t in named_datasets]
     print(f"{'epsilon':>12} " + " ".join(f"{n:>12}" for n in names), file=out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -35,29 +36,40 @@ class Sphere:
 
 
 def distance_coords(a, b) -> float:
-    """Euclidean distance between two coordinate sequences.
-
-    The accumulation order is fixed (ascending coordinate index) so that every
-    distance computed anywhere in the package, including the independent test
-    oracles, produces bit-identical values for identical inputs.
-    """
+    """Euclidean distance between two coordinate sequences: the square root
+    of ``squared_distances_to(a, [b])``."""
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    s = 0.0
-    for x, y in zip(a, b):
-        d = x - y
-        s += d * d
-    return math.sqrt(s)
+    return math.sqrt(squared_distances_to(a, (b,))[0])
+
+
+# The package's one Euclidean distance rule: squared differences summed one
+# coordinate at a time in ascending order, then a correctly rounded square
+# root. Both routines below follow it, so they agree bit for bit with each
+# other and with the independent oracle loops at every dimension.
+
+
+def squared_distances_to(q, rows) -> list[float]:
+    """Squared Euclidean distances from ``q`` to each coordinate row, as a
+    list. The scalar form of the rule, for Python loops over a few rows;
+    plain-float rows keep it off numpy-scalar arithmetic."""
+    out = []
+    for row in rows:
+        s = 0.0
+        for d in map(sub, q, row):
+            s += d * d
+        out.append(s)
+    return out
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Block of squared Euclidean distances: entry (i, j) is between row i of
     ``a`` and row j of ``b``.
 
-    Accumulates one coordinate at a time in ascending order, the order of
-    ``distance_coords``, so ``np.sqrt`` of entry (i, j) is bit-identical to
-    ``distance_coords(a[i], b[j])`` at every dimension. (numpy's
-    ``sum(axis=-1)`` pairs its terms differently from eight coordinates on.)
+    The array form of the rule: entry (i, j) equals
+    ``squared_distances_to(a[i], [b[j]])[0]`` bit for bit at every dimension.
+    (numpy's ``sum(axis=-1)`` pairs its terms differently from eight
+    coordinates on.)
     """
     out = np.zeros((len(a), len(b)))
     diff = np.empty_like(out)

@@ -67,7 +67,7 @@ def estimate_epsilon(points, m: int, c: float = 1.0) -> float:
         return 0.0
     col = min(m, k - 1)
     if k <= _MATRIX_CAP:
-        sq = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
+        sq = squared_distances(coords, coords)
         # Row-sorted position 0 is the point itself (distance 0); position col
         # is its col-th neighbour even when duplicates contribute more zeros.
         kth = np.sqrt(np.partition(sq, col, axis=1)[:, col])

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from .core import NOISE, ClusterResult, Dataset, RunStats, Sphere, squared_distances
+from .core import (
+    NOISE,
+    ClusterResult,
+    Dataset,
+    RunStats,
+    Sphere,
+    squared_distances,
+    squared_distances_to,
+)
 from .density import DensityConfig, LocalLabeling, density_cluster, estimate_epsilon
 from .sstree import SsTree, bounding_sphere
 from .unionfind import UnionFind
@@ -120,16 +128,10 @@ def build_regions(
     over = sorted(pid for pid, rids in membership.items() if len(rids) > cap)
     for pid in over:
         rids = membership[pid]
-        pc = tuple(coords[pid])
-        scored = []
-        for rid in rids:  # squared distance orders the same as distance
-            s = 0.0
-            for a, b in zip(pc, regions[rid].sphere.center):
-                d = a - b
-                s += d * d
-            scored.append((s, rid))
-        scored.sort()
-        order = [rid for _s, rid in scored]
+        centers = [regions[rid].sphere.center for rid in rids]
+        # Squared distance orders the same as distance.
+        sq = squared_distances_to(coords[pid].tolist(), centers)
+        order = [rid for _s, rid in sorted(zip(sq, rids))]
         nearest = order[0]  # never dropped, so coverage survives
         excess = len(order) - cap
         # Walk farthest-first, sparing regions already at the floor for as

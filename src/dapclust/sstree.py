@@ -1,11 +1,9 @@
 """SS+tree spatial index: a bounding-sphere hierarchy for knn and range queries.
 
 The tree is bulk-built top-down and immutable afterwards, so any number of
-workers may query it concurrently without locking. Split rule: a node's point
-set is cut at the median of the highest-variance coordinate, with a re-check
-that the two child spheres overlap less than the parent sphere's radius
-(trying lower-variance coordinates next, and falling back to the plain
-variance split when none passes). Oversized groups are re-split largest-first
+workers may query it concurrently without locking. Split rule, as in White &
+Jain's SS-tree (ICDE 1996): a group of points is cut at the median of its
+highest-variance coordinate. Oversized groups are re-split largest-first
 until the fanout limit is filled.
 """
 
@@ -16,14 +14,15 @@ from math import sqrt
 
 import numpy as np
 
-from .core import Dataset, Point, Sphere, distance_coords
+from .core import Dataset, Point, squared_distances, squared_distances_to
 
 FANOUT = 8
 LEAF_CAP = 16
 
-# Absorbs float rounding between the vectorised sphere construction and the
-# scalar distance loop used at query time. Only ever widens a node's reach,
-# so pruning stays sound.
+# A sphere's radius is the largest member distance computed by the query rule
+# itself, but the pruning tests add and subtract it from a centre distance,
+# and each of those sums rounds. The slack absorbs that rounding. It only
+# ever widens a node's reach, so pruning stays sound.
 _SLACK = 1e-9
 
 
@@ -33,92 +32,74 @@ def bounding_sphere(coords: np.ndarray) -> tuple[tuple[float, ...], float]:
     Two far-point passes pick a diameter estimate; the radius then expands to
     the farthest point so containment is guaranteed.
     """
-    k = len(coords)
-    if k == 0:
+    if len(coords) == 0:
         return (), 0.0
-    d0 = ((coords - coords[0]) ** 2).sum(axis=1)
-    p1 = coords[int(np.argmax(d0))]
-    d1 = ((coords - p1) ** 2).sum(axis=1)
-    p2 = coords[int(np.argmax(d1))]
+
+    def sq_to(p):
+        return squared_distances(coords, p[None, :])[:, 0]
+
+    p1 = coords[int(np.argmax(sq_to(coords[0])))]
+    p2 = coords[int(np.argmax(sq_to(p1)))]
     center = (p1 + p2) / 2.0
-    r2 = ((coords - center) ** 2).sum(axis=1).max()
-    return tuple(float(v) for v in center), float(np.sqrt(r2))
+    return tuple(center.tolist()), sqrt(float(sq_to(center).max()))
 
 
 class SsNode:
-    """One tree node: a bounding sphere over every point stored beneath it."""
+    """One tree node: a bounding sphere over every point stored beneath it.
 
-    __slots__ = ("center", "radius", "children", "entries", "count")
+    A leaf holds its points' ``ids`` and coordinate ``rows`` (plain-float
+    lists); an internal node holds its ``children`` and their ``centers``,
+    so a query measures a whole node with one distance call.
+    """
 
-    def __init__(self, center, radius, children=None, entries=None):
+    __slots__ = ("center", "radius", "children", "centers", "ids", "rows", "count")
+
+    def __init__(self, center, radius, children=None, ids=None, rows=None):
         self.center = center
         self.radius = radius
-        self.children = children  # internal nodes: list[SsNode]
-        self.entries = entries  # leaves: list[(point id, coords)]
+        self.children = children
+        self.ids = ids
+        self.rows = rows
         if children is not None:
+            self.centers = [c.center for c in children]
             self.count = sum(c.count for c in children)
         else:
-            self.count = len(entries)
+            self.centers = None
+            self.count = len(ids)
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    @property
-    def sphere(self) -> Sphere:
-        return Sphere(self.center, self.radius)
 
-    @property
-    def point_ids(self):
-        """Ids stored directly in this leaf (None for internal nodes)."""
-        if self.entries is None:
-            return None
-        return [pid for pid, _ in self.entries]
-
-
-def _split(coords, pos, parent_radius):
-    """Cut one group of point positions into two halves.
-
-    Tries coordinates in descending variance order and accepts the first cut
-    whose child spheres overlap less than the parent radius; otherwise falls
-    back to the plain highest-variance split.
-    """
+def _split(coords, pos):
+    """Cut one group of point positions in half at the median of its
+    highest-variance coordinate."""
     sub = coords[pos]
-    order = np.argsort(-sub.var(axis=0), kind="stable")
+    axis = int(np.argmax(sub.var(axis=0)))
+    srt = pos[np.argsort(sub[:, axis], kind="stable")]
     half = len(pos) // 2
-    first = None
-    for axis in order:
-        srt = pos[np.argsort(sub[:, axis], kind="stable")]
-        a, b = srt[:half], srt[half:]
-        if first is None:
-            first = (a, b)
-        ca, ra = bounding_sphere(coords[a])
-        cb, rb = bounding_sphere(coords[b])
-        if ra + rb - distance_coords(ca, cb) < parent_radius:
-            return a, b
-    return first
+    return srt[:half], srt[half:]
 
 
 def _build_node(ids, coords, pos):
     center, radius = bounding_sphere(coords[pos])
     if len(pos) <= LEAF_CAP:
-        entries = [(ids[i], tuple(coords[i])) for i in pos]
-        return SsNode(center, radius, entries=entries)
+        return SsNode(center, radius, ids=ids[pos].tolist(), rows=coords[pos].tolist())
     groups = [pos]
     while len(groups) < FANOUT:
         largest = max(range(len(groups)), key=lambda g: len(groups[g]))
         if len(groups[largest]) <= LEAF_CAP:
             break
-        a, b = _split(coords, groups[largest], radius)
-        groups[largest : largest + 1] = [a, b]
+        groups[largest : largest + 1] = _split(coords, groups[largest])
     children = [_build_node(ids, coords, g) for g in groups]
     return SsNode(center, radius, children=children)
 
 
 def _query_coords(q):
     if isinstance(q, Point):
-        return q.coords, q.id
-    return tuple(float(v) for v in q), None
+        return [float(v) for v in q.coords], q.id
+    return [float(v) for v in q], None
 
 
 def _collect_ids(node, out):
@@ -126,8 +107,7 @@ def _collect_ids(node, out):
     while stack:
         n = stack.pop()
         if n.children is None:
-            for pid, _pc in n.entries:
-                out.append(pid)
+            out.extend(n.ids)
         else:
             stack.extend(n.children)
 
@@ -145,17 +125,18 @@ class SsTree:
         """Index a Dataset or any sequence of points; deterministic for a
         given input order."""
         if isinstance(points, Dataset):
-            pts = points.points
             dim = points.dim
+            ids = np.arange(len(points))
+            coords = points.coords
         else:
             pts = list(points)
             dim = pts[0].dim if pts else 0
-        if not pts:
+            ids = np.array([p.id for p in pts], dtype=np.intp)
+            coords = np.array([p.coords for p in pts], dtype=np.float64)
+        if len(ids) == 0:
             return cls(None, dim, 0)
-        ids = [p.id for p in pts]
-        coords = np.array([p.coords for p in pts], dtype=np.float64)
-        root = _build_node(ids, coords, np.arange(len(pts)))
-        return cls(root, dim, len(pts))
+        root = _build_node(ids, coords, np.arange(len(ids)))
+        return cls(root, dim, len(ids))
 
     def knn(self, q, m: int, include_self: bool = True) -> list[tuple[int, float]]:
         """The m indexed points nearest to q (fewer if the tree holds fewer),
@@ -181,24 +162,18 @@ class SsTree:
             if len(best) == m and mind > -best[0][0]:
                 break
             if node.children is None:
-                for pid, pc in node.entries:
+                for pid, s in zip(node.ids, squared_distances_to(qc, node.rows)):
                     if pid == exclude:
                         continue
-                    # inline distance: same accumulation order as the oracles
-                    s = 0.0
-                    for x, y in zip(qc, pc):
-                        dd = x - y
-                        s += dd * dd
                     d = sqrt(s)
                     if len(best) < m:
                         heapq.heappush(best, (-d, -pid))
-                    elif (d, pid) < (-best[0][0], -best[0][1]):
+                    elif (-d, -pid) > best[0]:  # nearer than the worst kept
                         heapq.heapreplace(best, (-d, -pid))
             else:
                 bound = None if len(best) < m else -best[0][0]
-                for child in node.children:
-                    cd = distance_coords(qc, child.center)
-                    mindist = cd - child.radius - _SLACK
+                for child, s in zip(node.children, squared_distances_to(qc, node.centers)):
+                    mindist = sqrt(s) - child.radius - _SLACK
                     if mindist < 0.0:
                         mindist = 0.0
                     # Equal bounds must still be visited: a tied point with a
@@ -223,25 +198,21 @@ class SsTree:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            d = distance_coords(qc, node.center)
-            if d > radius + node.radius + _SLACK:
-                continue  # no point beneath can qualify
-            if d + node.radius <= radius - _SLACK:
-                # Whole subtree safely inside even after float error, so the
-                # per-point test (which stays exact) can be skipped.
-                _collect_ids(node, out)
-                continue
             if node.children is None:
-                for pid, pc in node.entries:
-                    # inline distance: same accumulation order as the oracles
-                    s = 0.0
-                    for x, y in zip(qc, pc):
-                        dd = x - y
-                        s += dd * dd
+                for pid, s in zip(node.ids, squared_distances_to(qc, node.rows)):
                     if sqrt(s) <= radius:
                         out.append(pid)
-            else:
-                stack.extend(node.children)
+                continue
+            for child, s in zip(node.children, squared_distances_to(qc, node.centers)):
+                d = sqrt(s)
+                if d > radius + child.radius + _SLACK:
+                    continue  # no point beneath can qualify
+                if d + child.radius <= radius - _SLACK:
+                    # Whole subtree safely inside even after float error, so
+                    # the per-point test can be skipped.
+                    _collect_ids(child, out)
+                else:
+                    stack.append(child)
         out.sort()
         return out
 

@@ -204,7 +204,7 @@ def test_criterion_8_structural_invariants():
 
     def points_under(node):
         if node.is_leaf:
-            return [pc for _pid, pc in node.entries]
+            return list(node.rows)
         return [pc for c in node.children for pc in points_under(c)]
 
     for _ in range(50):

@@ -141,10 +141,10 @@ def test_sweep_indexed_path_matches_scan_path():
 
     rng = random.Random(15)
     for dim in (2, 3):
-        data = Dataset.from_coords(
-            [tuple(rng.gauss(0, 4) for _ in range(dim)) for _ in range(300)]
-        )
+        coords = [tuple(rng.gauss(0, 4) for _ in range(dim)) for _ in range(300)]
+        data = Dataset.from_coords(coords)
         cfg = CanopyConfig(2.5, 1.0)
-        plain = canopy_cluster(data, cfg)
-        indexed = canopy_cluster(data, cfg, tree=SsTree.build(data))
-        assert plain == indexed
+        expected = sweep_oracle(coords, cfg.t1, cfg.t2)
+        for tree in (None, SsTree.build(data)):
+            got = canopy_cluster(data, cfg, tree=tree)
+            assert [(c.center_id, c.member_ids) for c in got] == expected

@@ -13,6 +13,7 @@ from dapclust.core import (
     load_csv,
     save_csv,
     squared_distances,
+    squared_distances_to,
 )
 
 
@@ -51,11 +52,15 @@ def test_squared_distances_bit_identical_to_scalar_loop(dim):
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(25, dim))
     b = np.concatenate([rng.normal(size=(20, dim)) * 100, a[:5]])
-    block = np.sqrt(squared_distances(a, b))
+    block = squared_distances(a, b)
     assert block.shape == (25, 25)
+    rows = b.tolist()
     for i in range(len(a)):
+        assert squared_distances_to(a[i].tolist(), rows) == block[i].tolist()
         for j in range(len(b)):
-            assert block[i, j] == distance_coords(tuple(a[i]), tuple(b[j]))
+            d = loop_distance(a[i], b[j])
+            assert np.sqrt(block[i, j]) == d
+            assert distance_coords(tuple(a[i]), tuple(b[j])) == d
 
 
 def test_distance_triangle_inequality():

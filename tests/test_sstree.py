@@ -105,6 +105,33 @@ def test_range_matches_oracle():
         assert tree.range(center, radius) == range_oracle(data, center, radius)
 
 
+@pytest.mark.parametrize("dim", [8, 16])
+def test_queries_match_oracles_at_high_dimension(dim):
+    # From d = 8 on, numpy's sum(axis=-1) no longer matches the scalar loop,
+    # and a third of the rows are repeats, so distances tie exactly. Radii
+    # that equal a point's distance put the closed-ball boundary on a point.
+    rng = random.Random(dim)
+    rows = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(300)]
+    rows += [rows[rng.randrange(300)] for _ in range(150)]
+    data = Dataset.from_coords(rows)
+    tree = SsTree.build(data)
+    for _ in range(40):
+        if rng.random() < 0.5:
+            q = data[rng.randrange(len(data))]
+            center = q.coords
+        else:
+            center = tuple(rng.gauss(0, 1) for _ in range(dim))
+            q = Point(0, center)
+        for m in (1, 3, 5):
+            for include in (True, False):
+                assert tree.knn(q, m, include_self=include) == knn_reference(
+                    data, q, m, include_self=include
+                )
+        on_point = knn_reference(data, center, rng.randrange(1, 40))[-1][1]
+        for radius in (on_point, rng.uniform(0, 4)):
+            assert tree.range(center, radius) == range_oracle(data, center, radius)
+
+
 def test_structural_invariants():
     rng = random.Random(7)
     data = random_dataset(rng, 700, 3)
@@ -112,9 +139,9 @@ def test_structural_invariants():
     total = 0
     for node in tree.walk():
         if node.is_leaf:
-            assert len(node.entries) <= LEAF_CAP
-            total += len(node.entries)
-            for _pid, pc in node.entries:
+            assert len(node.ids) == len(node.rows) <= LEAF_CAP
+            total += len(node.ids)
+            for pc in node.rows:
                 assert distance_coords(node.center, pc) <= node.radius + 1e-9
         else:
             assert 2 <= len(node.children) <= FANOUT
@@ -129,7 +156,7 @@ def test_containment_covers_descendants():
 
     def points_under(node):
         if node.is_leaf:
-            return [pc for _pid, pc in node.entries]
+            return list(node.rows)
         return [pc for c in node.children for pc in points_under(c)]
 
     for node in tree.walk():
@@ -145,7 +172,7 @@ def test_pruning_bound_is_sound():
 
     def points_under(node):
         if node.is_leaf:
-            return [pc for _pid, pc in node.entries]
+            return list(node.rows)
         return [pc for c in node.children for pc in points_under(c)]
 
     for _ in range(20):
