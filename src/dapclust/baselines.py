@@ -145,14 +145,10 @@ def knn_reference(data: Dataset, q, m: int, include_self: bool = True):
     else:
         qc = tuple(q)
         qid = None
-    scored = []
-    for p in data:
-        if p.id == qid:
-            continue
-        s = 0.0
-        for x, y in zip(qc, p.coords):
-            dd = x - y
-            s += dd * dd
-        scored.append((math.sqrt(s), p.id))
-    scored.sort()
+    # Every point's squared distance, summed one coordinate column at a time
+    # in ascending order: the order of the scalar rule.
+    sq = [0.0] * len(data)
+    for x, col in zip(qc, data.coords.T.tolist()):
+        sq = [s + (x - y) * (x - y) for s, y in zip(sq, col)]
+    scored = sorted((math.sqrt(s), pid) for pid, s in enumerate(sq) if pid != qid)
     return [(pid, d) for d, pid in scored[:m]]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
+from itertools import islice
+from operator import index, sub
 
 import numpy as np
 
@@ -88,9 +89,11 @@ def distance(a: Point, b: Point) -> float:
 class Dataset:
     """Immutable, id-ordered collection of points of a single dimension.
 
-    Point ids are the contiguous range 0..n-1 and double as row indices into
-    ``coords``. Instances are never mutated after construction, so they can be
-    read concurrently without locking.
+    The coordinates live in one read-only (n, dim) float64 array, ``coords``.
+    Point ids are the contiguous range 0..n-1 and double as its row indices;
+    ``data[i]`` and iteration build ``Point`` objects with plain-float
+    coordinates on demand. Instances are never mutated after construction, so
+    they can be read concurrently without locking.
     """
 
     def __init__(self, points, dim: int | None = None):
@@ -110,34 +113,46 @@ class Dataset:
             for v in p.coords:
                 if not math.isfinite(v):
                     raise ValueError(f"point {i} has non-finite coordinate {v!r}")
-        self.points: list[Point] = points
-        self.dim = dim
-        if points:
-            arr = np.array([p.coords for p in points], dtype=np.float64)
-        else:
-            arr = np.empty((0, dim), dtype=np.float64)
+        arr = np.array([p.coords for p in points], dtype=np.float64)
+        self._adopt(arr.reshape(len(points), dim))
+
+    def _adopt(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self._coords = arr
+        self.dim = arr.shape[1]
 
     @classmethod
     def from_coords(cls, rows) -> "Dataset":
-        """Build a dataset from an iterable of coordinate rows; row i gets id i."""
-        pts = [Point(i, tuple(float(v) for v in row)) for i, row in enumerate(rows)]
-        return cls(pts)
+        """Build a dataset from coordinate rows (an array, or an iterable of
+        sequences); row i gets id i. The coordinates are copied."""
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        try:
+            arr = np.array(rows, dtype=np.float64)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] == 0 or not np.isfinite(arr).all():
+            # Empty or faulty: the checked constructor builds it or names the fault.
+            return cls([Point(i, tuple(float(v) for v in row)) for i, row in enumerate(rows)])
+        data = cls.__new__(cls)
+        data._adopt(arr)
+        return data
 
     @property
     def coords(self) -> np.ndarray:
-        """Read-only (n, dim) float64 view of all coordinates."""
+        """Read-only (n, dim) float64 array of all coordinates."""
         return self._coords
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._coords)
 
     def __iter__(self):
-        return iter(self.points)
+        for i, row in enumerate(self._coords.tolist()):
+            yield Point(i, tuple(row))
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        i = range(len(self._coords))[index(i)]
+        return Point(i, tuple(self._coords[i].tolist()))
 
 
 def load_csv(path, skip_header: bool = False) -> Dataset:
@@ -148,6 +163,7 @@ def load_csv(path, skip_header: bool = False) -> Dataset:
     an empty dataset of dimension 0.
     """
     rows: list[tuple[float, ...]] = []
+    linenos: list[int] = []
     dim: int | None = None
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -163,21 +179,28 @@ def load_csv(path, skip_header: bool = False) -> Dataset:
                 raise ValueError(
                     f"row {lineno}: expected {dim} fields, found {len(fields)}"
                 )
-            vals = []
-            for fi, text in enumerate(fields):
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"row {lineno}: field {fi + 1} is not numeric: {text.strip()!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValueError(f"row {lineno}: non-finite value {text.strip()!r}")
-                vals.append(v)
-            rows.append(tuple(vals))
+            try:
+                rows.append(tuple(map(float, fields)))
+            except ValueError:
+                for fi, text in enumerate(fields):
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"row {lineno}: field {fi + 1} is not numeric: {text.strip()!r}"
+                        ) from None
+            linenos.append(lineno)
     if dim is None:
         return Dataset([], dim=0)
-    return Dataset([Point(i, r) for i, r in enumerate(rows)])
+    arr = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        r, fi = bad[0].tolist()
+        with open(path, newline="") as fh:  # read the offending line again for its text
+            line = next(islice(fh, linenos[r] - 1, None))
+        text = line.strip().split(",")[fi].strip()
+        raise ValueError(f"row {linenos[r]}: non-finite value {text!r}")
+    return Dataset.from_coords(arr)
 
 
 def save_csv(data: Dataset, path) -> None:
@@ -187,8 +210,8 @@ def save_csv(data: Dataset, path) -> None:
     cycle reproduces them exactly.
     """
     with open(path, "w") as fh:
-        for p in data:
-            fh.write(",".join(repr(v) for v in p.coords) + "\n")
+        for row in data.coords.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NOISE, Dataset, Point, squared_distances
+from .core import NOISE, Dataset, squared_distances
 from .sstree import SsTree
 from .unionfind import UnionFind
 
@@ -27,10 +28,10 @@ class DensityConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be non-negative and finite")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
 
 
 @dataclass
@@ -42,26 +43,18 @@ class LocalLabeling:
     core_flags: set[int] = field(default_factory=set)
 
 
-def _as_coords(points) -> np.ndarray:
-    if isinstance(points, Dataset):
-        return points.coords
-    if isinstance(points, np.ndarray):
-        return points
-    return np.array([p.coords for p in points], dtype=np.float64)
-
-
-def estimate_epsilon(points, m: int, c: float = 1.0) -> float:
+def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
     """Scan radius for a partition: c times the mean distance to the m-th
-    nearest neighbour (self excluded) over the partition's points.
+    nearest neighbour (self excluded) over the rows of the (k, dim) array
+    ``coords``.
 
     When the partition holds m or fewer points the farthest available
     neighbour stands in; a single point yields 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if c <= 0:
-        raise ValueError("c must be positive")
-    coords = _as_coords(points)
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     k = len(coords)
     if k <= 1:
         return 0.0
@@ -72,25 +65,20 @@ def estimate_epsilon(points, m: int, c: float = 1.0) -> float:
         # is its col-th neighbour even when duplicates contribute more zeros.
         kth = np.sqrt(np.partition(sq, col, axis=1)[:, col])
         return c * float(kth.mean())
-    if isinstance(points, Dataset):
-        pts = points.points
-    elif isinstance(points, np.ndarray):
-        pts = [Point(i, tuple(row)) for i, row in enumerate(coords)]
-    else:
-        pts = list(points)
-    tree = SsTree.build(pts)
+    data = Dataset.from_coords(coords)
+    tree = SsTree.build(data)
     total = 0.0
-    for p in pts:
+    for p in data:
         total += tree.knn(p, col, include_self=False)[-1][1]
     return c * (total / k)
 
 
-def density_cluster(points, cfg: DensityConfig, index: SsTree | None = None) -> LocalLabeling:
-    """Density merge of one partition. A point with at least m neighbours
-    (itself included) within epsilon is core, and its entire neighbourhood is
-    merged into the point's cluster. A point is NOISE exactly when its merged
-    set contains no core point; every other point is labelled with the
-    minimum id of its set.
+def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:
+    """Density merge of the points ``ids`` (strictly ascending) of ``data``.
+    A point with at least m of them (itself included) within epsilon is core,
+    and its entire neighbourhood is merged into the point's cluster. A point
+    is NOISE exactly when its merged set contains no core point; every other
+    point is labelled with the minimum id of its set.
 
     Note the merge rule: a non-core point scanned by two different core points
     fuses their clusters. This is what lets per-region results combine by
@@ -98,55 +86,38 @@ def density_cluster(points, cfg: DensityConfig, index: SsTree | None = None) -> 
     handling.
 
     Up to ``_MATRIX_CAP`` points, one distance block gives every
-    neighbourhood and array-wide label propagation the clusters; ``index`` is
-    not used. Above it, every point runs a range query on ``index`` (built
-    here when not given; it must hold exactly the given points) and a
+    neighbourhood and array-wide label propagation the clusters. Above it,
+    every point runs a range query on an SS+tree of the points and a
     union-find merges the results, in memory linear in the neighbourhoods.
-    Both routes give the same labels.
+    Both routes number the points by position, which follows their ids, and
+    give the same labels.
     """
-    if isinstance(points, Dataset):
-        pts = points.points
-    else:
-        pts = sorted(points, key=lambda p: p.id)
-    labeling = LocalLabeling()
-    k = len(pts)
+    ids = np.asarray(ids, dtype=np.intp)
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("ids must be strictly ascending")
+    k = len(ids)
     if k == 0:
-        return labeling
+        return LocalLabeling()
+    coords = data.coords[ids]
     if k <= _MATRIX_CAP:
-        return _dense_merge(pts, cfg)
-    if index is None:
-        index = SsTree.build(pts)
-    pos = {p.id: i for i, p in enumerate(pts)}
-    uf = UnionFind(k)
-    core_pos = []
-    for i, p in enumerate(pts):
-        nbrs = index.range(p, cfg.epsilon)
-        if len(nbrs) >= cfg.m:
-            core_pos.append(i)
-            for qid in nbrs:
-                uf.union(i, pos[qid])
-    has_core = {uf.find(i) for i in core_pos}
-    root_min: dict[int, int] = {}
-    for i, p in enumerate(pts):  # ids ascending: first visit per root is the minimum
-        r = uf.find(i)
-        if r in has_core and r not in root_min:
-            root_min[r] = p.id
-    for i, p in enumerate(pts):
-        labeling.labels[p.id] = root_min.get(uf.find(i), NOISE)
-    labeling.core_flags = {pts[i].id for i in core_pos}
-    return labeling
-
-
-def _dense_merge(pts, cfg: DensityConfig) -> LocalLabeling:
-    """``density_cluster`` for id-sorted points, from one k x k block."""
-    ids = np.array([p.id for p in pts])
-    coords = np.array([p.coords for p in pts], dtype=np.float64)
-    # Bit-identical to the distances a range query compares with epsilon.
-    ball = np.sqrt(squared_distances(coords, coords)) <= cfg.epsilon
-    core = np.count_nonzero(ball, axis=1) >= cfg.m
-    linked = ball & core[:, None]
-    comp = _lowest_in_component(linked | linked.T)
-    clustered = np.zeros(len(ids), dtype=bool)
+        # Bit-identical to the distances a range query compares with epsilon.
+        ball = np.sqrt(squared_distances(coords, coords)) <= cfg.epsilon
+        core = np.count_nonzero(ball, axis=1) >= cfg.m
+        linked = ball & core[:, None]
+        comp = _lowest_in_component(linked | linked.T)
+    else:
+        tree = SsTree.build(Dataset.from_coords(coords))
+        uf = UnionFind(k)
+        core = np.zeros(k, dtype=bool)
+        for i, row in enumerate(coords.tolist()):
+            nbrs = tree.range(row, cfg.epsilon)
+            if len(nbrs) >= cfg.m:
+                core[i] = True
+                for j in nbrs:
+                    uf.union(i, j)
+        comp = np.array(uf.labels())
+    # comp is the lowest position in each point's component.
+    clustered = np.zeros(k, dtype=bool)
     clustered[comp[core]] = True
     labels = np.where(clustered[comp], ids[comp], NOISE)
     return LocalLabeling(dict(zip(ids.tolist(), labels.tolist())), set(ids[core].tolist()))

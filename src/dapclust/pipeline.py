@@ -13,6 +13,7 @@ per-region clusters back together through shared points.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -45,8 +46,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.worker_count < 1:
             raise ValueError("worker_count must be >= 1")
         if self.max_regions_per_point is not None and self.max_regions_per_point < 1:
@@ -188,13 +189,13 @@ def build_regions(
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
-    """One independent work item: the density merge of the region's members
-    with the region's own scan radius. Regions of up to ``_MATRIX_CAP`` points
-    (1024) are merged from one distance block with no index; only larger ones
-    build an SS+tree of their members. Pure function of its arguments, so
-    regions can run on any worker in any order."""
-    pts = [data[pid] for pid in sorted(region.member_ids)]
-    return density_cluster(pts, DensityConfig(region.m, region.epsilon))
+    """One independent work item: the density merge of the region's members,
+    as rows of ``data``, with the region's own scan radius. Regions of up to
+    ``_MATRIX_CAP`` points (1024) are merged from one distance block with no
+    index; only larger ones build an SS+tree of their members. Pure function
+    of its arguments, so regions can run on any worker in any order."""
+    cfg = DensityConfig(region.m, region.epsilon)
+    return density_cluster(data, sorted(region.member_ids), cfg)
 
 
 class _Reducer:
@@ -225,15 +226,10 @@ class _Reducer:
         for i in range(self.n):
             if not self.seen[i]:
                 raise RuntimeError(f"point {i} covered by no region")
-        labels = [NOISE] * self.n
         uf = self.uf
-        root_min: dict[int, int] = {}
-        for i in range(self.n):  # ascending: first visit per root is the minimum id
-            if self.clustered[i]:
-                r = uf.find(i)
-                if r not in root_min:
-                    root_min[r] = i
-                labels[i] = root_min[r]
+        # Noise points are never unioned, so a set holding a clustered point
+        # holds only clustered points, and its minimum id is its label.
+        labels = [lb if c else NOISE for lb, c in zip(uf.labels(), self.clustered)]
         stats = RunStats(uf_ops=uf.op_count, uf_hops=uf.hop_count)
         return ClusterResult(labels, set(self.core), stats)
 

@@ -82,17 +82,19 @@ def _split(coords, pos):
     return srt[:half], srt[half:]
 
 
-def _build_node(ids, coords, pos):
+def _build_node(coords, pos):
+    """The subtree over the rows ``pos`` of ``coords``; a row's position is
+    its point id."""
     center, radius = bounding_sphere(coords[pos])
     if len(pos) <= LEAF_CAP:
-        return SsNode(center, radius, ids=ids[pos].tolist(), rows=coords[pos].tolist())
+        return SsNode(center, radius, ids=pos.tolist(), rows=coords[pos].tolist())
     groups = [pos]
     while len(groups) < FANOUT:
         largest = max(range(len(groups)), key=lambda g: len(groups[g]))
         if len(groups[largest]) <= LEAF_CAP:
             break
         groups[largest : largest + 1] = _split(coords, groups[largest])
-    children = [_build_node(ids, coords, g) for g in groups]
+    children = [_build_node(coords, g) for g in groups]
     return SsNode(center, radius, children=children)
 
 
@@ -121,22 +123,13 @@ class SsTree:
         self.size = size
 
     @classmethod
-    def build(cls, points) -> "SsTree":
-        """Index a Dataset or any sequence of points; deterministic for a
-        given input order."""
-        if isinstance(points, Dataset):
-            dim = points.dim
-            ids = np.arange(len(points))
-            coords = points.coords
-        else:
-            pts = list(points)
-            dim = pts[0].dim if pts else 0
-            ids = np.array([p.id for p in pts], dtype=np.intp)
-            coords = np.array([p.coords for p in pts], dtype=np.float64)
-        if len(ids) == 0:
-            return cls(None, dim, 0)
-        root = _build_node(ids, coords, np.arange(len(ids)))
-        return cls(root, dim, len(ids))
+    def build(cls, data: Dataset) -> "SsTree":
+        """Index every point of ``data``, by its id (row number);
+        deterministic."""
+        n = len(data)
+        if n == 0:
+            return cls(None, data.dim, 0)
+        return cls(_build_node(data.coords, np.arange(n)), data.dim, n)
 
     def knn(self, q, m: int, include_self: bool = True) -> list[tuple[int, float]]:
         """The m indexed points nearest to q (fewer if the tree holds fewer),

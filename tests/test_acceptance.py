@@ -30,24 +30,25 @@ def random_dataset(rng, n, dim, span=100.0):
     )
 
 
-def range_oracle(data, center, radius):
+def range_oracle(rows, center, radius):
+    """Ids of the plain-float ``rows`` within ``radius`` of ``center``."""
     out = []
-    for p in data:
+    for pid, row in enumerate(rows):
         s = 0.0
-        for x, y in zip(center, p.coords):
+        for x, y in zip(center, row):
             s += (x - y) ** 2
         if math.sqrt(s) <= radius:
-            out.append(p.id)
+            out.append(pid)
     return out
 
 
-def test_criterion_1_spatial_index_oracle_equivalence():
-    rng = random.Random(1001)
-    for _ in range(200):
-        dim = rng.choice([2, 3, 5])
-        n = rng.randrange(1, 501)
+def index_sweep(rng, dims, sets, max_n, max_radius):
+    for _ in range(sets):
+        dim = rng.choice(dims)
+        n = rng.randrange(1, max_n + 1)
         data = random_dataset(rng, n, dim)
         tree = SsTree.build(data)
+        rows = data.coords.tolist()
         for _ in range(50):
             if rng.random() < 0.5 and n:
                 q = data[rng.randrange(n)]
@@ -60,23 +61,34 @@ def test_criterion_1_spatial_index_oracle_equivalence():
             assert got == want  # ids, order, and exact distances
         for _ in range(50):
             center = tuple(rng.uniform(-100, 100) for _ in range(dim))
-            radius = rng.uniform(0, 150)
-            assert tree.range(center, radius) == range_oracle(data, center, radius)
+            radius = rng.uniform(0, max_radius(dim))
+            assert tree.range(center, radius) == range_oracle(rows, center, radius)
+
+
+def test_criterion_1_spatial_index_oracle_equivalence():
+    index_sweep(random.Random(1001), [2, 3, 5], 200, 500, lambda dim: 150)
+    # From d = 8 on, numpy's row sums no longer add in coordinate order.
+    # Random points drift apart as sqrt(dim), and so do the radii here.
+    index_sweep(random.Random(1008), [8, 16], 30, 300, lambda dim: 75 * math.sqrt(dim))
     report(1, "spatial index matches brute-force oracle exactly")
 
 
-def test_criterion_2_density_step_oracle_equivalence():
-    rng = random.Random(2002)
-    for _ in range(100):
-        dim = rng.choice([2, 3])
+def density_sweep(rng, dims, sets):
+    for _ in range(sets):
+        dim = rng.choice(dims)
         n = rng.randrange(2, 201)
         data = random_dataset(rng, n, dim, span=10.0)
         m = rng.choice([2, 3, 4, 5])
-        epsilon = estimate_epsilon(data, m) * rng.uniform(0.5, 1.5)
-        got = density_cluster(data, DensityConfig(m, epsilon), SsTree.build(data))
+        epsilon = estimate_epsilon(data.coords, m) * rng.uniform(0.5, 1.5)
+        got = density_cluster(data, range(len(data)), DensityConfig(m, epsilon))
         want = dbscan_reference(data, epsilon, m)
         assert got.labels == want.labels  # clusters and the noise set, exactly
         assert got.core_flags == want.core_flags
+
+
+def test_criterion_2_density_step_oracle_equivalence():
+    density_sweep(random.Random(2002), [2, 3], 100)
+    density_sweep(random.Random(2008), [8, 16], 60)
     report(2, "density step matches quadratic reference exactly")
 
 
@@ -188,7 +200,7 @@ def test_criterion_7_scaling():
     t0 = time.perf_counter()
     cluster(data, PipelineConfig(m=4))
     t_dapc = time.perf_counter() - t0
-    eps = estimate_epsilon(data, 4)
+    eps = estimate_epsilon(data.coords, 4)
     t0 = time.perf_counter()
     dbscan_reference(data, eps, 4)
     t_ref = time.perf_counter() - t0

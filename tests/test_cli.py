@@ -57,6 +57,16 @@ def test_run_dapc_end_to_end(tmp_path):
     assert reported == len(emitted)
 
 
+def test_run_rejects_non_finite_c(tmp_path, capsys):
+    data = gen(tmp_path)
+    for c in ("nan", "inf"):
+        out = tmp_path / f"labels-{c}.csv"
+        code = run(["--algorithm", "dapc", "--c", c, "--input", str(data), "--output", str(out)])
+        assert code == 1
+        assert "c must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_run_is_reproducible(tmp_path):
     data = gen(tmp_path)
     out1, out2 = tmp_path / "l1.csv", tmp_path / "l2.csv"

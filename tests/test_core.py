@@ -87,6 +87,42 @@ def test_dataset_rejects_nan():
         Dataset([Point(0, (float("nan"),))])
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0.0, 1.0), (2.0, float("nan"))], "point 1 has non-finite coordinate nan"),
+        ([(0.0, 1.0), (float("-inf"), 3.0)], "point 1 has non-finite coordinate -inf"),
+        ([(0.0, 1.0), (2.0,)], "point 1 has dimension 1, expected 2"),
+    ],
+    ids=["nan", "inf", "ragged"],
+)
+def test_from_coords_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_coords(rows)
+
+
+def test_from_coords_copies_an_array():
+    src = np.array([[0.0, 1.0], [2.0, 3.0]])
+    ds = Dataset.from_coords(src)
+    assert src.flags.writeable
+    assert not ds.coords.flags.writeable
+    src[0, 0] = 9.0
+    assert ds.coords[0, 0] == 0.0
+    assert ds[0].coords == (0.0, 1.0)
+
+
+def test_points_hold_plain_floats():
+    ds = Dataset.from_coords(np.array([[0.5, 1.5], [2.5, 3.5]]))
+    for p in (ds[1], ds[-1], *ds):
+        assert type(p.coords) is tuple
+        assert all(type(v) is float for v in p.coords)
+    assert ds[-1] == ds[1] == Point(1, (2.5, 3.5))
+    with pytest.raises(IndexError):
+        ds[2]
+    with pytest.raises(TypeError):
+        ds[0:1]
+
+
 def test_dataset_coords_matches_points():
     ds = Dataset.from_coords([(0.0, 1.0), (2.0, 3.0)])
     assert ds.coords.shape == (2, 2)
@@ -135,6 +171,13 @@ def test_load_csv_rejects_inf(tmp_path):
     path = tmp_path / "inf.csv"
     path.write_text("1,inf\n")
     with pytest.raises(ValueError, match="row 1"):
+        load_csv(path)
+
+
+def test_load_csv_names_the_line_and_text_of_an_overflow(tmp_path):
+    path = tmp_path / "overflow.csv"
+    path.write_text("0,0\n\n1, 1e999\n")
+    with pytest.raises(ValueError, match=r"row 3: non-finite value '1e999'"):
         load_csv(path)
 
 

@@ -8,7 +8,6 @@ import dapclust.density as density
 from dapclust.baselines import dbscan_reference
 from dapclust.core import NOISE, Dataset
 from dapclust.density import DensityConfig, estimate_epsilon, density_cluster
-from dapclust.sstree import SsTree
 
 
 def random_dataset(rng, n, dim=2, span=10.0):
@@ -32,37 +31,41 @@ def brute_mean_knn(coords, m):
 def test_config_validation():
     with pytest.raises(ValueError):
         DensityConfig(0, 1.0)
-    with pytest.raises(ValueError):
-        DensityConfig(1, -0.5)
-    with pytest.raises(ValueError):
-        DensityConfig(1, 1.0, c=0.0)
+    for bad_epsilon in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be non-negative and finite"):
+            DensityConfig(1, bad_epsilon)
+    for bad_c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            DensityConfig(1, 1.0, c=bad_c)
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            estimate_epsilon(np.zeros((3, 2)), 1, c=bad_c)
     DensityConfig(1, 0.0)  # epsilon zero is allowed
 
 
 def test_epsilon_two_points():
     data = Dataset.from_coords([(0.0, 0.0), (2.0, 0.0)])
-    assert estimate_epsilon(data, 1) == pytest.approx(2.0)
+    assert estimate_epsilon(data.coords, 1) == pytest.approx(2.0)
 
 
 def test_epsilon_unit_grid():
     data = Dataset.from_coords([(float(i), float(k)) for i in range(5) for k in range(5)])
-    assert estimate_epsilon(data, 1) == pytest.approx(1.0)
+    assert estimate_epsilon(data.coords, 1) == pytest.approx(1.0)
 
 
 def test_epsilon_single_point():
-    assert estimate_epsilon(Dataset.from_coords([(3.0, 3.0)]), 4) == 0.0
+    assert estimate_epsilon(Dataset.from_coords([(3.0, 3.0)]).coords, 4) == 0.0
 
 
 def test_epsilon_scale_factor():
     data = Dataset.from_coords([(0.0, 0.0), (2.0, 0.0)])
-    assert estimate_epsilon(data, 1, c=0.5) == pytest.approx(1.0)
+    assert estimate_epsilon(data.coords, 1, c=0.5) == pytest.approx(1.0)
 
 
 def test_epsilon_matches_brute_force():
     rng = random.Random(21)
     coords = [(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(200)]
     data = Dataset.from_coords(coords)
-    assert estimate_epsilon(data, 4) == pytest.approx(brute_mean_knn(coords, 4), abs=1e-9)
+    assert estimate_epsilon(data.coords, 4) == pytest.approx(brute_mean_knn(coords, 4), abs=1e-9)
 
 
 def test_epsilon_matrix_and_tree_paths_agree():
@@ -84,8 +87,7 @@ def test_epsilon_matrix_and_tree_paths_agree():
 
 
 def run_density(data, m, epsilon):
-    tree = SsTree.build(data)
-    return density_cluster(data, DensityConfig(m, epsilon), tree)
+    return density_cluster(data, range(len(data)), DensityConfig(m, epsilon))
 
 
 def test_identical_points_one_cluster():
@@ -226,7 +228,41 @@ def test_both_paths_match_reference_at_high_dimension(dim, cap, monkeypatch):
             X = X[rng.integers(0, 8, size=40)]
         data = Dataset.from_coords(X.tolist())
         epsilon = numpy_radius(X, 3)
-        got = density_cluster(data, DensityConfig(3, epsilon))
+        got = density_cluster(data, range(len(data)), DensityConfig(3, epsilon))
         want = dbscan_reference(data, epsilon, 3)
         assert got.labels == want.labels, s
         assert got.core_flags == want.core_flags, s
+
+
+@pytest.mark.parametrize("k", [1024, 1025])
+def test_estimator_and_merge_at_the_real_cap(k):
+    # k of 1,324 rows: 1,024 take the matrix paths and 1,025 the tree paths,
+    # with the cap as shipped. Over a third of the rows repeat one of ten
+    # points.
+    assert density._MATRIX_CAP == 1024
+    rng = np.random.default_rng(k)
+    X = rng.normal(size=(k + 300, 2))
+    X[rng.choice(len(X), size=500, replace=False)] = X[rng.integers(0, 10, size=500)]
+    data = Dataset.from_coords(X)
+    ids = np.sort(rng.choice(len(X), size=k, replace=False)).tolist()
+    sub = X[ids]
+    m = 4
+    epsilon = estimate_epsilon(sub, m)
+    # Brute force: each row's sorted distances, itself first.
+    dist = np.sqrt(((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=-1))
+    assert epsilon == pytest.approx(np.sort(dist, axis=1)[:, m].mean(), abs=1e-9)
+    for eps in (epsilon, 0.0, 3 * epsilon):
+        got = density_cluster(data, ids, DensityConfig(m, eps))
+        # The reference numbers the rows of ``sub``; map them back to ids.
+        want = dbscan_reference(Dataset.from_coords(sub), eps, m)
+        assert got.labels == {
+            ids[i]: NOISE if lb == NOISE else ids[lb] for i, lb in want.labels.items()
+        }
+        assert got.core_flags == {ids[i] for i in want.core_flags}
+
+
+def test_merge_requires_ascending_ids():
+    data = Dataset.from_coords([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+    for ids in ([1, 0, 2], [0, 0, 1]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            density_cluster(data, ids, DensityConfig(1, 1.0))

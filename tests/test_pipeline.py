@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from dapclust import pipeline
+from dapclust.baselines import dbscan_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import NOISE, Dataset
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
@@ -15,8 +17,9 @@ from dapclust.sstree import SsTree
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(m=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(m=3, c=-1.0)
+    for bad_c in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            PipelineConfig(m=3, c=bad_c)
     with pytest.raises(ValueError):
         PipelineConfig(m=3, worker_count=0)
     assert PipelineConfig(m=4).cap == 4
@@ -88,14 +91,21 @@ def test_map_step_equals_direct_density():
     cfg = PipelineConfig(m=3)
     canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
     regions = build_regions(data, canopies, cfg)
+    clustered = 0
     for region in regions[:5]:
-        pts = [data[i] for i in sorted(region.member_ids)]
-        direct = density_cluster(
-            pts, DensityConfig(region.m, region.epsilon), SsTree.build(pts)
+        # The quadratic reference on the region's rows alone, its row
+        # numbers mapped back to point ids.
+        ids = sorted(region.member_ids)
+        ref = dbscan_reference(
+            Dataset.from_coords(data.coords[ids]), region.epsilon, region.m
         )
         got = map_step(region, data)
-        assert got.labels == direct.labels
-        assert got.core_flags == direct.core_flags
+        assert got.labels == {
+            ids[i]: NOISE if lb == NOISE else ids[lb] for i, lb in ref.labels.items()
+        }
+        assert got.core_flags == {ids[i] for i in ref.core_flags}
+        clustered += sum(lb != NOISE for lb in got.labels.values())
+    assert clustered > 0
 
 
 def test_reduce_single_region_identity():
@@ -185,8 +195,8 @@ def test_workers_do_not_change_output():
 def test_single_region_equivalence():
     data, _ = make_blobs(200, 3, seed=17)
     m = 3
-    eps = estimate_epsilon(data, m)
-    direct = density_cluster(data, DensityConfig(m, eps), SsTree.build(data))
+    eps = estimate_epsilon(data.coords, m)
+    direct = density_cluster(data, range(len(data)), DensityConfig(m, eps))
     piped = cluster(data, PipelineConfig(m=m, canopy=CanopyConfig(1e9, 1e9)))
     assert piped.labels == [direct.labels[i] for i in range(len(data))]
     assert piped.core_flags == direct.core_flags

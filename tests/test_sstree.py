@@ -16,12 +16,12 @@ def random_dataset(rng, n, dim, span=100.0):
 
 def range_oracle(data, center, radius):
     out = []
-    for p in data:
+    for pid, row in enumerate(data.coords.tolist()):
         s = 0.0
-        for x, y in zip(center, p.coords):
+        for x, y in zip(center, row):
             s += (x - y) ** 2
         if math.sqrt(s) <= radius:
-            out.append(p.id)
+            out.append(pid)
     return out
 
 
