@@ -7,11 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, squared_distances
 from .sstree import SsTree
 
-_MIN_SAMPLE = 32
 _FALLBACK_T2 = 1e-9
+# estimate_thresholds measures as many sample rows at once as keep its
+# distance block at or below this many entries (one row at the least).
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -48,29 +50,35 @@ def cheap_distance(a, b) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def estimate_thresholds(data: Dataset, m: int, tree: SsTree | None = None) -> CanopyConfig:
+def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     """Derive canopy thresholds from the data.
 
-    t2 is the mean distance to the m-th nearest neighbour over a deterministic
-    sample (every ceil(n/1000)-th point by id, at least 32 points when
-    available); t1 = 3 * t2. Degenerate inputs (all points identical, or fewer
-    than two points) fall back to a tiny positive t2.
+    t2 is the mean distance to the m-th nearest other point (the farthest
+    when there are fewer) over a deterministic sample (every ceil(n/1000)-th
+    point by id, so every point up to n = 1000); t1 = 3 * t2. Degenerate
+    inputs (all points identical, or fewer than two points) fall back to a
+    tiny positive t2.
+
+    Blocks of sample rows are measured against every row with
+    ``squared_distances``, so each distance has the bits a knn query gives it.
+    The mean is summed in sample order, one distance at a time. The cost is
+    O(sample * n), with the sample near 1,000 points.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(data)
     if n < 2:
         return CanopyConfig(3 * _FALLBACK_T2, _FALLBACK_T2)
-    stride = max(1, math.ceil(n / 1000))
-    sample = list(range(0, n, stride))
-    if len(sample) < _MIN_SAMPLE:
-        sample = list(range(min(n, _MIN_SAMPLE)))
-    if tree is None:
-        tree = SsTree.build(data)
+    sample = np.arange(0, n, math.ceil(n / 1000))
+    col = min(m, n - 1) - 1  # m-th other point, counted from 0
+    step = max(1, _BLOCK_ENTRIES // n)
     total = 0.0
-    for i in sample:
-        nbrs = tree.knn(data[i], m, include_self=False)
-        total += nbrs[-1][1]  # m-th neighbour, or the farthest available
+    for b in range(0, len(sample), step):
+        rows = sample[b : b + step]
+        sq = squared_distances(data.coords[rows], data.coords)
+        sq[np.arange(len(rows)), rows] = np.inf  # the point itself
+        for dist in np.sqrt(np.partition(sq, col, axis=1)[:, col]).tolist():
+            total += dist
     t2 = total / len(sample)
     if t2 == 0.0:
         return CanopyConfig(3e-9, _FALLBACK_T2)

@@ -219,12 +219,15 @@ class RunStats:
     """Per-run instrumentation surfaced in reports and scaling checks.
 
     The stage times (whole-dataset tree build, canopy with its thresholds,
-    regions, map, reduce) together make up ``t_total``.
+    regions, map, reduce) together make up ``t_total``. ``t_thresholds`` is
+    the part of ``t_canopy`` spent estimating the canopy thresholds, 0 when
+    they were given.
     """
 
     region_count: int = 0
     max_region_size: int = 0
     t_tree: float = 0.0
+    t_thresholds: float = 0.0
     t_canopy: float = 0.0
     t_regions: float = 0.0
     t_map: float = 0.0

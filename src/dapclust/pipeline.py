@@ -28,7 +28,6 @@ from .core import (
     RunStats,
     Sphere,
     squared_distances,
-    squared_distances_to,
 )
 from .density import DensityConfig, LocalLabeling, density_cluster, estimate_epsilon
 from .sstree import SsTree, bounding_sphere
@@ -101,59 +100,51 @@ def build_regions(
     coverage survives. Regions that fell below the floor regrow from the
     nearest points (ties by lower id) that still have cap budget; when none is
     left the smaller region is accepted.
+
+    One ``SsTree.range_many`` walk finds the members of every region, and the
+    cap works on arrays of (point, region) pairs, ordered by one lexsort on
+    (point, squared distance to the region's center, region id). Only the
+    points over the cap are visited one by one, in ascending id, because
+    whether a region may still lose a point depends on the drops before it.
     """
     n = len(data)
     if tree is None:
         tree = SsTree.build(data)
     coords = data.coords
     floor = min(cfg.m, n)
-    regions: list[Region] = []
-    for rid, canopy in enumerate(canopies):
-        mem = sorted(canopy.member_ids)
-        sub = coords[mem]
-        eps = estimate_epsilon(sub, cfg.m, cfg.c)
+    z = len(canopies)
+    centers, radii, eps = [], [], []
+    for canopy in canopies:
+        sub = coords[sorted(canopy.member_ids)]
+        eps.append(estimate_epsilon(sub, cfg.m, cfg.c))
         center, radius = bounding_sphere(sub)
-        radius += eps
-        ids = tree.range(center, radius)
-        if len(ids) < floor:
-            nn = tree.knn(center, floor)
-            radius = max(radius, nn[-1][1])
-            ids = tree.range(center, radius)
-        regions.append(Region(rid, Sphere(center, radius), set(ids), eps, cfg.m))
-
+        centers.append(center)
+        radii.append(radius + eps[-1])
+    center_rows = np.array(centers, dtype=np.float64).reshape(z, data.dim)
+    ptr, pids = tree.range_many(center_rows, radii)
+    rids = np.repeat(np.arange(z, dtype=pids.dtype), np.diff(ptr))
+    short = np.flatnonzero(np.diff(ptr) < floor)
+    if len(short):
+        # Grow each short region to its floor-th nearest point, then find the
+        # members of all of them again.
+        for r in short.tolist():
+            radii[r] = max(radii[r], tree.knn(centers[r], floor)[-1][1])
+        grown_ptr, grown = tree.range_many(center_rows[short], np.take(radii, short))
+        kept = ~np.isin(rids, short)
+        pids = np.concatenate([pids[kept], grown])
+        rids = np.concatenate([rids[kept], np.repeat(short.astype(rids.dtype), np.diff(grown_ptr))])
     cap = cfg.cap
-    membership: dict[int, list[int]] = {}
-    for r in regions:
-        for pid in r.member_ids:
-            membership.setdefault(pid, []).append(r.id)
-    over = sorted(pid for pid, rids in membership.items() if len(rids) > cap)
-    for pid in over:
-        rids = membership[pid]
-        centers = [regions[rid].sphere.center for rid in rids]
-        # Squared distance orders the same as distance.
-        sq = squared_distances_to(coords[pid].tolist(), centers)
-        order = [rid for _s, rid in sorted(zip(sq, rids))]
-        nearest = order[0]  # never dropped, so coverage survives
-        excess = len(order) - cap
-        # Walk farthest-first, sparing regions already at the floor for as
-        # long as the excess can be shed elsewhere.
-        for protect_floor in (True, False):
-            for rid in reversed(order):
-                if excess == 0:
-                    break
-                if rid == nearest or rid not in rids:
-                    continue
-                if protect_floor and len(regions[rid].member_ids) <= floor:
-                    continue
-                regions[rid].member_ids.discard(pid)
-                rids.remove(rid)
-                excess -= 1
-            if excess == 0:
-                break
+    pids, rids = _apply_cap(coords, center_rows, pids, rids, cap, floor)
 
-    count = np.zeros(n, dtype=np.intp)
-    for pid, rids in membership.items():
-        count[pid] = len(rids)
+    by_region = np.argsort(rids, kind="stable")  # ascending point id within a region
+    ends = np.cumsum(np.bincount(rids, minlength=z)).tolist()
+    members = pids[by_region].tolist()
+    regions = [
+        Region(r, Sphere(centers[r], radii[r]), set(members[lo:hi]), eps[r], cfg.m)
+        for r, lo, hi in zip(range(z), [0, *ends], ends)
+    ]
+
+    count = np.bincount(pids, minlength=n)
     under = int(np.count_nonzero(count < cap))  # points that may join a region
     for r in regions:
         missing = floor - len(r.member_ids)
@@ -186,6 +177,50 @@ def build_regions(
                 spare -= 1
             k = min(n, k * 2)
     return regions
+
+
+def _apply_cap(coords, centers, pid, rid, cap, floor):
+    """The (point, region) pairs that survive the per-point cap.
+
+    Points over the cap are handled in ascending id, against the region sizes
+    that the earlier drops left. Each drops its excess pairs farthest first,
+    but with regions already at the floor last, and never its nearest pair,
+    so coverage survives. A point's regions are distinct, so its own drops
+    change none of its own floor tests.
+    """
+    # Squared distance of each pair, summed one coordinate at a time in
+    # ascending order: the bits of squared_distances_to.
+    sq = np.zeros(len(pid))
+    term = np.empty(len(pid))
+    for j in range(coords.shape[1]):
+        np.subtract(coords[pid, j], centers[rid, j], out=term)
+        term *= term
+        sq += term
+    order = np.lexsort((rid, sq, pid))
+    del sq, term
+    pid, rid = pid[order], rid[order]
+    # A point's pairs now run nearest first.
+    per_point = np.bincount(pid, minlength=len(coords))
+    ends = np.cumsum(per_point)
+    over = np.flatnonzero(per_point > cap)
+    size = np.bincount(rid, minlength=len(centers)).tolist()
+    keep = np.ones(len(pid), dtype=bool)
+    for end, count in zip(ends[over].tolist(), per_point[over].tolist()):
+        excess = count - cap
+        farthest = rid[end - excess : end].tolist()
+        if min(map(size.__getitem__, farthest)) > floor:
+            # None of them is at the floor, so they lead that order; one
+            # slice drops them, a third faster than sorting every point.
+            keep[end - excess : end] = False
+            for r in farthest:
+                size[r] -= 1
+            continue
+        first = end - count + 1  # past the nearest pair
+        rs = rid[first:end].tolist()
+        for i in sorted(range(count - 2, -1, -1), key=lambda k: size[rs[k]] <= floor)[:excess]:
+            keep[first + i] = False
+            size[rs[i]] -= 1
+    return pid[keep], rid[keep]
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
@@ -263,7 +298,8 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     t_tree = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m, tree=tree)
+    canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m)
+    t_thresholds = 0.0 if cfg.canopy else time.perf_counter() - t0
     canopies = canopy_cluster(data, canopy_cfg, tree=tree)
     t_canopy = time.perf_counter() - t0
 
@@ -296,6 +332,7 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     result.stats.region_count = len(regions)
     result.stats.max_region_size = max((len(r.member_ids) for r in regions), default=0)
     result.stats.t_tree = t_tree
+    result.stats.t_thresholds = t_thresholds
     result.stats.t_canopy = t_canopy
     result.stats.t_regions = t_regions
     result.stats.t_map = t_map

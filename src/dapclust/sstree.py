@@ -5,6 +5,14 @@ workers may query it concurrently without locking. Split rule, as in White &
 Jain's SS-tree (ICDE 1996): a group of points is cut at the median of its
 highest-variance coordinate. Oversized groups are re-split largest-first
 until the fanout limit is filled.
+
+Two query forms share one set of decisions. ``knn`` and ``range`` walk the
+tree once per query in plain Python. ``range_many`` walks it once for a whole
+batch of spheres, with numpy at each node, and makes the same prune, accept
+and leaf decisions as ``range``, bit for bit. Both forms are kept because
+neither is fast at the other's job: a one-sphere ``range_many`` made the
+canopy sweep, which asks one query at a time, four to six times slower,
+and the regions stage asks thousands of queries at once.
 """
 
 from __future__ import annotations
@@ -49,22 +57,42 @@ class SsNode:
 
     A leaf holds its points' ``ids`` and coordinate ``rows`` (plain-float
     lists); an internal node holds its ``children`` and their ``centers``,
-    so a query measures a whole node with one distance call.
+    so a query measures a whole node with one distance call. For the batched
+    walk an internal node also keeps its children's centres and radii as
+    arrays (``center_array``, ``radii``); the scalar walks keep the lists,
+    because a Python loop over numpy rows is about four times slower than
+    over tuples. The points beneath any node are the positions ``lo`` to
+    ``lo + count`` of the tree's ``ids`` array, so a whole subtree's ids are
+    one slice.
     """
 
-    __slots__ = ("center", "radius", "children", "centers", "ids", "rows", "count")
+    __slots__ = (
+        "center",
+        "radius",
+        "children",
+        "centers",
+        "center_array",
+        "radii",
+        "ids",
+        "rows",
+        "count",
+        "lo",
+    )
 
-    def __init__(self, center, radius, children=None, ids=None, rows=None):
+    def __init__(self, center, radius, lo, children=None, ids=None, rows=None):
         self.center = center
         self.radius = radius
+        self.lo = lo
         self.children = children
         self.ids = ids
         self.rows = rows
         if children is not None:
             self.centers = [c.center for c in children]
+            self.center_array = np.array(self.centers)
+            self.radii = np.array([c.radius for c in children])
             self.count = sum(c.count for c in children)
         else:
-            self.centers = None
+            self.centers = self.center_array = self.radii = None
             self.count = len(ids)
 
     @property
@@ -82,20 +110,24 @@ def _split(coords, pos):
     return srt[:half], srt[half:]
 
 
-def _build_node(coords, pos):
+def _build_node(coords, pos, order):
     """The subtree over the rows ``pos`` of ``coords``; a row's position is
-    its point id."""
+    its point id. Leaf ids are appended to ``order`` as leaves are made, so
+    every subtree's ids are one run of it, starting at the node's ``lo``."""
+    lo = len(order)
     center, radius = bounding_sphere(coords[pos])
     if len(pos) <= LEAF_CAP:
-        return SsNode(center, radius, ids=pos.tolist(), rows=coords[pos].tolist())
+        ids = pos.tolist()
+        order.extend(ids)
+        return SsNode(center, radius, lo, ids=ids, rows=coords[pos].tolist())
     groups = [pos]
     while len(groups) < FANOUT:
         largest = max(range(len(groups)), key=lambda g: len(groups[g]))
         if len(groups[largest]) <= LEAF_CAP:
             break
         groups[largest : largest + 1] = _split(coords, groups[largest])
-    children = [_build_node(coords, g) for g in groups]
-    return SsNode(center, radius, children=children)
+    children = [_build_node(coords, g, order) for g in groups]
+    return SsNode(center, radius, lo, children=children)
 
 
 def _query_coords(q):
@@ -104,32 +136,31 @@ def _query_coords(q):
     return [float(v) for v in q], None
 
 
-def _collect_ids(node, out):
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.children is None:
-            out.extend(n.ids)
-        else:
-            stack.extend(n.children)
-
-
 class SsTree:
-    """Immutable spatial index over a set of points."""
+    """Immutable spatial index over a set of points.
 
-    def __init__(self, root, dim, size):
+    ``ids`` lists the point ids leaf by leaf, in the order the leaves were
+    built, so the points beneath any node are one slice of it (see
+    ``SsNode``). ``coords`` is the indexed dataset's own read-only array,
+    not a copy.
+    """
+
+    def __init__(self, root, coords, order):
         self.root = root
-        self.dim = dim
-        self.size = size
+        self.coords = coords
+        self.dim = coords.shape[1]
+        self.size = len(order)
+        # int32 where it holds every id, so batched results stay small.
+        dtype = np.int32 if self.size <= np.iinfo(np.int32).max else np.int64
+        self.ids = np.array(order, dtype=dtype)
 
     @classmethod
     def build(cls, data: Dataset) -> "SsTree":
         """Index every point of ``data``, by its id (row number);
         deterministic."""
-        n = len(data)
-        if n == 0:
-            return cls(None, data.dim, 0)
-        return cls(_build_node(data.coords, np.arange(n)), data.dim, n)
+        order: list[int] = []
+        root = _build_node(data.coords, np.arange(len(data)), order) if len(data) else None
+        return cls(root, data.coords, order)
 
     def knn(self, q, m: int, include_self: bool = True) -> list[tuple[int, float]]:
         """The m indexed points nearest to q (fewer if the tree holds fewer),
@@ -203,11 +234,67 @@ class SsTree:
                 if d + child.radius <= radius - _SLACK:
                     # Whole subtree safely inside even after float error, so
                     # the per-point test can be skipped.
-                    _collect_ids(child, out)
+                    out.extend(self.ids[child.lo : child.lo + child.count].tolist())
                 else:
                     stack.append(child)
         out.sort()
         return out
+
+    def range_many(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``range(centers[i], radii[i])`` at once, in CSR form: the
+        ids of sphere i are ``ids[ptr[i]:ptr[i + 1]]``, ascending, and equal
+        that query's result exactly.
+
+        ``centers`` is a (q, dim) array (or rows of coordinates) and
+        ``radii`` holds q radii. One walk carries every sphere that reaches a
+        node, and tests them all against the node's children, or the leaf's
+        points, through one ``squared_distances`` block with the sums and
+        comparisons of ``range``. So each node is visited once, and a
+        temporary holds at most q entries per child or leaf point.
+        """
+        radii = np.asarray(radii, dtype=np.float64)
+        q = len(radii)
+        if np.any(radii < 0):
+            raise ValueError("radius must be non-negative")
+        if q == 0 or self.root is None:
+            return np.zeros(q + 1, dtype=np.int64), self.ids[:0]
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.shape != (q, self.dim):
+            raise ValueError(
+                f"centers of shape {centers.shape} for {q} radii in dimension {self.dim}"
+            )
+        n = self.size
+        ids, coords = self.ids, self.coords
+        found = [np.zeros(0, dtype=np.int64)]  # keys sphere * n + id
+        stack = [(self.root, np.arange(q))]
+        while stack:
+            node, live = stack.pop()
+            lo = node.lo
+            if node.children is None:
+                pids = ids[lo : lo + node.count]
+                block = squared_distances(centers[live], coords[pids])
+                s, j = np.nonzero(np.sqrt(block) <= radii[live, None])
+                found.append(live[s] * n + pids[j])
+                continue
+            d = np.sqrt(squared_distances(centers[live], node.center_array))
+            r = radii[live, None]
+            reach = ~(d > r + node.radii + _SLACK)
+            inside = reach & (d + node.radii <= r - _SLACK)
+            # Spheres that hold a child whole take its ids as one slice; the
+            # others that reach it descend.
+            for child, whole, part in zip(node.children, inside.T, (reach & ~inside).T):
+                if whole.any():
+                    span = ids[child.lo : child.lo + child.count]
+                    found.append((live[whole][:, None] * n + span).ravel())
+                if part.any():
+                    stack.append((child, live[part]))
+        keys = np.concatenate(found)
+        keys.sort()
+        sphere = keys // n
+        ptr = np.zeros(q + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sphere, minlength=q), out=ptr[1:])
+        keys -= sphere * n
+        return ptr, keys.astype(ids.dtype)
 
     def walk(self):
         """Yield every node, parents before their children."""

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dapclust.baselines import knn_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, cheap_distance, estimate_thresholds
 from dapclust.core import Dataset
 
@@ -70,6 +71,29 @@ def test_thresholds_match_brute_force():
         cfg = estimate_thresholds(data, m)
         expected = sum(brute_mth_nn(coords, i, m) for i in range(200)) / 200
         assert cfg.t2 == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 33, 2100])
+def test_thresholds_bit_identical_to_sequential_knn_mean(n, dim):
+    # The mean of knn_reference's m-th distances, summed in sample order:
+    # equal to the last bit. Inputs are plain, heavily repeated, or one
+    # point n times (the fallback).
+    rng = random.Random(n * dim)
+    m = 4
+    plain = [tuple(rng.gauss(0, 3) for _ in range(dim)) for _ in range(n)]
+    values = [rng.gauss(0, 1) for _ in range(3)]
+    repeated = [tuple(rng.choice(values) for _ in range(dim)) for _ in range(n)]
+    identical = [plain[0]] * n
+    stride = math.ceil(n / 1000)
+    for rows in (plain, repeated, identical):
+        data = Dataset.from_coords(rows)
+        total = 0.0
+        for i in range(0, n, stride):
+            total += knn_reference(data, data[i], m, include_self=False)[-1][1]
+        t2 = total / len(range(0, n, stride))
+        want = CanopyConfig(3.0 * t2, t2) if t2 else CanopyConfig(3e-9, 1e-9)
+        assert estimate_thresholds(data, m) == want
 
 
 def test_thresholds_identical_points_fallback():

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from dapclust import pipeline
 from dapclust.baselines import dbscan_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from dapclust.core import NOISE, Dataset
+from dapclust.core import NOISE, Dataset, squared_distances_to
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
 from dapclust.density import DensityConfig, density_cluster, estimate_epsilon
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
@@ -241,6 +242,96 @@ def test_stats_populated():
     assert res.stats.uf_ops > 0
 
 
+def cap_oracle(coords, regions, cap, floor):
+    """The per-point cap as a walk over member sets and a membership dict:
+    points in ascending id, each dropping its farthest regions (ties: higher
+    region id first) but never its nearest, and sparing regions at the floor
+    while it can. Mutates the regions' member sets and returns how many
+    points dropped other regions than their farthest because of the floor."""
+    membership = {}
+    for r in regions:
+        for pid in r.member_ids:
+            membership.setdefault(pid, []).append(r.id)
+    fired = 0
+    for pid in sorted(pid for pid, rids in membership.items() if len(rids) > cap):
+        rids = membership[pid]
+        centers = [regions[rid].sphere.center for rid in rids]
+        sq = squared_distances_to(coords[pid].tolist(), centers)
+        order = [rid for _s, rid in sorted(zip(sq, rids))]
+        nearest = order[0]
+        excess = len(order) - cap
+        farthest = set(order[-excess:])
+        for protect_floor in (True, False):
+            for rid in reversed(order):
+                if excess == 0:
+                    break
+                if rid == nearest or rid not in rids:
+                    continue
+                if protect_floor and len(regions[rid].member_ids) <= floor:
+                    continue
+                regions[rid].member_ids.discard(pid)
+                rids.remove(rid)
+                excess -= 1
+        fired += farthest != set(order) - set(rids)
+    return fired
+
+
+def test_cap_matches_set_walk_oracle(monkeypatch):
+    # build_regions with its array cap, and again with the cap replaced by
+    # the set walk on the same (point, region) pairs: the regions, after
+    # regrowth too, must be equal.
+    array_cap = pipeline._apply_cap
+    fired = []
+
+    def oracle_cap(coords, centers, pid, rid, cap, floor):
+        regions = [
+            SimpleNamespace(id=r, sphere=SimpleNamespace(center=tuple(c)), member_ids=set())
+            for r, c in enumerate(centers.tolist())
+        ]
+        for p, r in zip(pid.tolist(), rid.tolist()):
+            regions[r].member_ids.add(p)
+        fired.append(cap_oracle(coords, regions, cap, floor))
+        pairs = sorted((p, r.id) for r in regions for p in r.member_ids)
+        want = np.array(pairs, dtype=pid.dtype).reshape(-1, 2).T
+        got = array_cap(coords, centers, pid, rid, cap, floor)
+        assert sorted(zip(*(a.tolist() for a in got))) == pairs
+        return want[0], want[1]
+
+    rng = random.Random(5)
+    for trial in range(24):
+        dim = (2, 8)[trial % 2]
+        m = rng.choice([3, 4, 5])
+        cap = (1, 2, m)[trial % 3]
+        data, _ = make_blobs(rng.randrange(150, 400), rng.randrange(1, 4), seed=trial, dim=dim)
+        cfg = PipelineConfig(m=m, max_regions_per_point=cap)
+        canopies = canopy_cluster(data, estimate_thresholds(data, m))
+        want = build_regions(data, canopies, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "_apply_cap", oracle_cap)
+            got = build_regions(data, canopies, cfg)
+        assert [(r.member_ids, r.sphere, r.epsilon) for r in got] == [
+            (r.member_ids, r.sphere, r.epsilon) for r in want
+        ]
+    assert len(fired) == 24
+    assert sum(f > 0 for f in fired) >= 5  # floor protection changed the result
+
+
+def test_cap_spares_a_region_at_the_floor():
+    # Point 0 lies in three regions under a cap of 2. Its farthest, C, holds
+    # only it and point 4, so C is at the floor (m = 2) and the drop goes to
+    # B instead.
+    rows = [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (1.5, 0.0), (-3.0, 0.0)]
+    data = Dataset.from_coords(rows)
+    canopies = [
+        Canopy(0, frozenset({0, 1})),  # A: center (0, 0.5)
+        Canopy(2, frozenset({0, 2})),  # B: center (1, 0), also holds point 3
+        Canopy(4, frozenset({0, 4})),  # C: center (-1.5, 0)
+    ]
+    cfg = PipelineConfig(m=2, c=1e-9, max_regions_per_point=2)
+    regions = build_regions(data, canopies, cfg)
+    assert [r.member_ids for r in regions] == [{0, 1}, {2, 3}, {0, 4}]
+
+
 def test_regrowth_takes_nearest_points_with_cap_budget(monkeypatch):
     # Three canopies over one 6-point group centred on the origin: under a
     # cap of 2 the third region sheds four points and must regrow by two.
@@ -279,6 +370,7 @@ def test_regrowth_stops_when_no_point_has_cap_budget():
 
     class CountingTree:
         range = tree.range
+        range_many = tree.range_many
 
         def knn(self, q, k, include_self=True):
             asked.append(k)
@@ -305,6 +397,14 @@ def test_nearest_free_matches_knn_order_and_distances(dim):
         center = tuple(rng.gauss(0, 1) for _ in range(dim))
         want = [(pid, d) for pid, d in tree.knn(center, 80) if free[pid]]
         assert pipeline._nearest_free(data.coords, center, free) == want
+
+
+def test_threshold_time_is_part_of_canopy_time():
+    data, _ = make_blobs(2000, 4, seed=31)
+    st = cluster(data, PipelineConfig(m=3)).stats
+    assert 0 < st.t_thresholds <= st.t_canopy
+    given = cluster(data, PipelineConfig(m=3, canopy=CanopyConfig(3.0, 1.0))).stats
+    assert given.t_thresholds == 0.0 and given.t_canopy > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
