@@ -3,10 +3,10 @@
 A clustering toolkit built around three ideas: cheap canopy pre-clustering to
 partition the data, a scan radius inferred independently per partition so
 regions of very different density are handled with one global configuration,
-and a DBSCAN-style density merge whose per-region results fold through a
-union-find, deterministically, into a global partition. An SS+tree index answers the
-whole-dataset neighbour queries; a region of up to 1024 points is merged from
-one distance block instead. A naive m-nearest-neighbour clusterer and k-means /
+and a DBSCAN-style density merge whose per-region results fold, by label
+propagation, deterministically into a global partition. An SS+tree index
+answers the whole-dataset neighbour queries; regions of up to 1024 points are
+merged from stacked distance blocks instead. A naive m-nearest-neighbour clusterer and k-means /
 quadratic-DBSCAN baselines are included for comparison.
 """
 

@@ -7,13 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, squared_distances
+from .core import _BLOCK_ENTRIES, Dataset, squared_distances
 from .sstree import SsTree
 
 _FALLBACK_T2 = 1e-9
-# estimate_thresholds measures as many sample rows at once as keep its
-# distance block at or below this many entries (one row at the least).
-_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="scan radius for --algorithm dbscan")
     p.add_argument("--k", type=int, help="cluster count for --algorithm kmeans")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (kmeans init, generators)")
-    p.add_argument("--workers", type=int, default=1, help="map-step worker count (default 1)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker count (default 1); accepted, but no longer changes how the map runs",
+    )
     p.add_argument("--canopy-t1", type=float, help="override canopy loose threshold")
     p.add_argument("--canopy-t2", type=float, help="override canopy tight threshold")
     p.add_argument("--max-regions-per-point", type=int, help="per-point region cap (default: m)")
@@ -172,6 +177,14 @@ def _report_line(name: str, data: Dataset, args, result: ClusterResult) -> str:
         f"noise={result.noise_count}",
         f"z={s.region_count}",
         f"w={s.max_region_size}",
+        f"size_p50={s.region_size_p50:g}",
+        f"size_p90={s.region_size_p90:g}",
+        f"eps_p50={s.epsilon_p50:.6g}",
+        f"eps_p90={s.epsilon_p90:.6g}",
+        f"eps_max={s.epsilon_max:.6g}",
+        f"core_p50={s.region_core_p50:g}",
+        f"core_p90={s.region_core_p90:g}",
+        f"core_max={s.region_core_max}",
         f"t_tree={s.t_tree:.6f}",
         f"t_thresholds={s.t_thresholds:.6f}",
         f"t_canopy={s.t_canopy:.6f}",

@@ -12,6 +12,11 @@ import numpy as np
 #: Label assigned to points that belong to no cluster.
 NOISE = -1
 
+# Array passes that would build one large distance block split it into
+# pieces of at most this many entries (one row or one partition at the
+# least), which keeps their temporaries small.
+_BLOCK_ENTRIES = 2**16
+
 
 @dataclass(frozen=True)
 class Point:
@@ -70,12 +75,13 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The array form of the rule: entry (i, j) equals
     ``squared_distances_to(a[i], [b[j]])[0]`` bit for bit at every dimension.
     (numpy's ``sum(axis=-1)`` pairs its terms differently from eight
-    coordinates on.)
+    coordinates on.) Stacked inputs of shape (batch, k, dim) give a
+    (batch, k_a, k_b) stack of blocks, one per batch index, by the same rule.
     """
-    out = np.zeros((len(a), len(b)))
+    out = np.zeros(a.shape[:-1] + b.shape[-2:-1])
     diff = np.empty_like(out)
-    for j in range(a.shape[1]):
-        np.subtract.outer(a[:, j], b[:, j], out=diff)
+    for j in range(a.shape[-1]):
+        np.subtract(a[..., :, j, None], b[..., None, :, j], out=diff)
         np.multiply(diff, diff, out=diff)
         out += diff
     return out
@@ -222,10 +228,27 @@ class RunStats:
     regions, map, reduce) together make up ``t_total``. ``t_thresholds`` is
     the part of ``t_canopy`` spent estimating the canopy thresholds, 0 when
     they were given.
+
+    The region summary gives the median (p50), 90th percentile (p90, numpy's
+    linear interpolation) and maximum over the regions of their size, their
+    scan radius epsilon and their core point count.
+
+    ``uf_ops`` and ``uf_hops`` count a union-find's operations and its
+    parent-pointer hops. The pipeline's reduce folds its links by label
+    propagation instead: ``uf_ops`` is then the number of links folded, one
+    per clustered (region, point) membership, and ``uf_hops`` is 0.
     """
 
     region_count: int = 0
     max_region_size: int = 0
+    region_size_p50: float = 0.0
+    region_size_p90: float = 0.0
+    epsilon_p50: float = 0.0
+    epsilon_p90: float = 0.0
+    epsilon_max: float = 0.0
+    region_core_p50: float = 0.0
+    region_core_p90: float = 0.0
+    region_core_max: int = 0
     t_tree: float = 0.0
     t_thresholds: float = 0.0
     t_canopy: float = 0.0

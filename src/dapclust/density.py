@@ -85,10 +85,9 @@ def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:
     plain set union, and it intentionally differs from classic DBSCAN border
     handling.
 
-    Up to ``_MATRIX_CAP`` points, one distance block gives every
-    neighbourhood and array-wide label propagation the clusters. Above it,
-    every point runs a range query on an SS+tree of the points and a
-    union-find merges the results, in memory linear in the neighbourhoods.
+    Up to ``_MATRIX_CAP`` points this is ``stacked_merge`` of one partition.
+    Above it, every point runs a range query on an SS+tree of the points and
+    a union-find merges the results, in memory linear in the neighbourhoods.
     Both routes number the points by position, which follows their ids, and
     give the same labels.
     """
@@ -98,34 +97,62 @@ def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:
     k = len(ids)
     if k == 0:
         return LocalLabeling()
-    coords = data.coords[ids]
     if k <= _MATRIX_CAP:
-        # Bit-identical to the distances a range query compares with epsilon.
-        ball = np.sqrt(squared_distances(coords, coords)) <= cfg.epsilon
-        core = np.count_nonzero(ball, axis=1) >= cfg.m
-        linked = ball & core[:, None]
-        comp = _lowest_in_component(linked | linked.T)
+        labels, core = stacked_merge(data.coords, ids[None], np.array([cfg.epsilon]), cfg.m)
     else:
+        coords = data.coords[ids]
         tree = SsTree.build(Dataset.from_coords(coords))
         uf = UnionFind(k)
-        core = np.zeros(k, dtype=bool)
+        core = np.zeros((1, k), dtype=bool)
         for i, row in enumerate(coords.tolist()):
             nbrs = tree.range(row, cfg.epsilon)
             if len(nbrs) >= cfg.m:
-                core[i] = True
+                core[0, i] = True
                 for j in nbrs:
                     uf.union(i, j)
-        comp = np.array(uf.labels())
-    # comp is the lowest position in each point's component.
-    clustered = np.zeros(k, dtype=bool)
-    clustered[comp[core]] = True
-    labels = np.where(clustered[comp], ids[comp], NOISE)
-    return LocalLabeling(dict(zip(ids.tolist(), labels.tolist())), set(ids[core].tolist()))
+        labels = _component_labels(ids[None], np.array([uf.labels()]), core)
+    return LocalLabeling(dict(zip(ids.tolist(), labels[0].tolist())), set(ids[core[0]].tolist()))
+
+
+def stacked_merge(coords: np.ndarray, ids: np.ndarray, epsilon: np.ndarray, m: int):
+    """The density merge of ``density_cluster`` for a stack of partitions of
+    up to ``_MATRIX_CAP`` points each, in a few array passes.
+
+    ``ids`` is a (b, k) array: row p holds partition p's point ids (rows of
+    ``coords``) in ascending order, padded at its end with -1. ``epsilon``
+    holds each partition's scan radius, and m is shared. Returns (labels,
+    core), both (b, k): per slot the lowest id of its component or NOISE,
+    and whether it is core. Padding slots come out NOISE and not core.
+
+    One stacked distance block gives every neighbourhood, with the padding
+    masked out of both its rows and its columns, and stacked label
+    propagation gives the components.
+    """
+    valid = ids >= 0
+    pts = coords[np.where(valid, ids, 0)]
+    # Bit-identical to the distances a range query compares with epsilon.
+    ball = np.sqrt(squared_distances(pts, pts)) <= epsilon[:, None, None]
+    ball &= valid[:, :, None]
+    ball &= valid[:, None, :]
+    core = np.count_nonzero(ball, axis=2) >= m
+    linked = ball & core[:, :, None]
+    comp = _lowest_in_component(linked | linked.transpose(0, 2, 1))
+    return _component_labels(ids, comp, core), core
+
+
+def _component_labels(ids, comp, core):
+    """Per slot of the (b, k) arrays: the id at the lowest position ``comp``
+    of its component when that component holds a core slot, else NOISE."""
+    rows = np.arange(len(ids))[:, None]
+    clustered = np.zeros(ids.shape, dtype=bool)
+    clustered[np.broadcast_to(rows, ids.shape)[core], comp[core]] = True
+    return np.where(clustered[rows, comp], ids[rows, comp], NOISE)
 
 
 def _lowest_in_component(adj: np.ndarray) -> np.ndarray:
-    """Lowest index in each node's connected component of a symmetric
-    boolean adjacency matrix.
+    """Lowest index in each node's connected component, for a (b, k, k)
+    stack of symmetric boolean adjacency matrices: one row of k labels per
+    matrix.
 
     Min-label propagation with pointer jumping, hooking as in FastSV (Zhang,
     Azad & Hu, 2020): each round a node and the root of its label both take
@@ -135,14 +162,23 @@ def _lowest_in_component(adj: np.ndarray) -> np.ndarray:
     equal its lowest node. Moving roots, not only nodes, relabels whole trees
     at once: about a dozen rounds for a 1024-point chain in random id order,
     where propagating to nodes alone took over 700.
+
+    A matrix whose labels did not move in a round has reached its fixpoint,
+    so each round works only on the matrices that still moved in the one
+    before. Labels are kept in the narrowest integer type that holds k.
     """
-    k = len(adj)
-    lab = np.arange(k)
-    while True:
-        up = lab[lab]
-        low = np.where(adj, up, k).min(axis=1)
+    b, k, _ = adj.shape
+    lab = np.tile(np.arange(k, dtype=np.int16 if k < 2**15 else np.intp), (b, 1))
+    todo = np.arange(b)  # the matrices still moving
+    cur = lab
+    while len(todo):
+        up = np.take_along_axis(cur, cur, axis=1)
+        low = np.where(adj, up[:, None, :], k).min(axis=2)
         new = np.minimum(up, low)
-        np.minimum.at(new, lab, low)
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+        np.minimum.at(new, (np.arange(len(todo))[:, None], cur), low)
+        moved = (new != cur).any(axis=1)
+        lab[todo] = new
+        if not moved.all():
+            todo, adj, new = todo[moved], adj[moved], new[moved]
+        cur = new
+    return lab

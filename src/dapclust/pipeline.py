@@ -2,9 +2,12 @@
 
 1. Canopy pre-clustering partitions the data with a cheap metric.
 2. Map: each canopy becomes a region (an inflated bounding sphere with its
-   own inferred scan radius) processed independently by the density merge.
-3. Reduce: per-region union sets fold, in any order, into one global
-   partition.
+   own inferred scan radius), and every region is merged by the density
+   rule on its own. Regions of up to ``_MATRIX_CAP`` points are merged many
+   at a time, in stacked array passes; larger ones one at a time.
+3. Reduce: every clustered (region, point) membership links the point to
+   its local label, and one label propagation over these links gives the
+   global partition, whatever the order of the regions.
 
 Regions overlap slightly by construction, so a point clustered near a region
 border is seen whole in at least one region; the reduce step then glues the
@@ -15,13 +18,14 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from .core import (
+    _BLOCK_ENTRIES,
     NOISE,
     ClusterResult,
     Dataset,
@@ -29,9 +33,15 @@ from .core import (
     Sphere,
     squared_distances,
 )
-from .density import DensityConfig, LocalLabeling, density_cluster, estimate_epsilon
+from .density import (
+    _MATRIX_CAP,
+    DensityConfig,
+    LocalLabeling,
+    density_cluster,
+    estimate_epsilon,
+    stacked_merge,
+)
 from .sstree import SsTree, bounding_sphere
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class PipelineConfig:
     m: int
     c: float = 1.0
     canopy: CanopyConfig | None = None  # None: estimate thresholds from the data
-    worker_count: int = 1
+    worker_count: int = 1  # accepted and validated; selects no code path
     max_regions_per_point: int | None = None  # None: defaults to m
 
     def __post_init__(self):
@@ -224,49 +234,115 @@ def _apply_cap(coords, centers, pid, rid, cap, floor):
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
-    """One independent work item: the density merge of the region's members,
-    as rows of ``data``, with the region's own scan radius. Regions of up to
-    ``_MATRIX_CAP`` points (1024) are merged from one distance block with no
-    index; only larger ones build an SS+tree of their members. Pure function
-    of its arguments, so regions can run on any worker in any order."""
+    """The density merge of one region's members, as rows of ``data``, with
+    the region's own scan radius: ``density_cluster`` on its own. ``cluster``
+    merges the regions of up to ``_MATRIX_CAP`` points (1024) in stacked
+    batches instead, with the same result, and calls this only for larger
+    ones, which build an SS+tree of their members. A pure function of its
+    arguments."""
     cfg = DensityConfig(region.m, region.epsilon)
     return density_cluster(data, sorted(region.member_ids), cfg)
 
 
-class _Reducer:
-    """Order-independent incremental fold of per-region labelings into one
-    global union-find."""
+def _map_regions(data: Dataset, regions: list[Region], m: int):
+    """The map: the density merge of every region. Returns the ``_fold``
+    inputs, one entry per (region, point) membership, and each region's
+    size, scan radius and core count.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.uf = UnionFind(n)
-        self.clustered = bytearray(n)
-        self.seen = bytearray(n)
-        self.core: set[int] = set()
+    Regions of up to ``_MATRIX_CAP`` points go through ``stacked_merge`` in
+    batches of one size class: sizes rounded up to a multiple of 8, and as
+    many regions as keep the batch's distance blocks at or below
+    ``_BLOCK_ENTRIES`` entries (one region at the least). Larger regions go
+    through ``map_step`` one at a time.
+    """
+    sizes = np.array([len(r.member_ids) for r in regions])
+    epsilon = np.array([r.epsilon for r in regions])
+    # Every region's members in ascending id, one region after another.
+    owner = np.repeat(np.arange(len(regions)), sizes)
+    members = np.fromiter(chain.from_iterable(r.member_ids for r in regions), np.intp, len(owner))
+    members = members[np.lexsort((members, owner))]
+    starts = np.cumsum(sizes) - sizes
+    labels = np.empty(len(members), dtype=np.intp)
+    core = np.empty(len(members), dtype=bool)
+    small = (0 < sizes) & (sizes <= _MATRIX_CAP)  # the cap may empty a region
+    width = (sizes + 7) // 8 * 8
+    for w in np.unique(width[small]).tolist():
+        cls = np.flatnonzero(small & (width == w))
+        step = max(1, _BLOCK_ENTRIES // (w * w))
+        slot = np.arange(w)
+        for lo in range(0, len(cls), step):
+            batch = cls[lo : lo + step]
+            at = starts[batch, None] + slot
+            valid = slot < sizes[batch, None]
+            ids = np.where(valid, members[np.minimum(at, len(members) - 1)], -1)
+            batch_labels, batch_core = stacked_merge(data.coords, ids, epsilon[batch], m)
+            labels[at[valid]] = batch_labels[valid]
+            core[at[valid]] = batch_core[valid]
+    for r in np.flatnonzero(sizes > _MATRIX_CAP).tolist():
+        local = map_step(regions[r], data)
+        span = slice(starts[r], starts[r] + sizes[r])
+        labels[span] = [local.labels[p] for p in members[span].tolist()]
+        core[span] = [p in local.core_flags for p in members[span].tolist()]
+    core_count = np.bincount(owner[core], minlength=len(regions))
+    return (members, labels, core), (sizes, epsilon, core_count)
 
-    def add(self, labeling: LocalLabeling) -> None:
-        uf = self.uf
-        clustered = self.clustered
-        seen = self.seen
-        for pid, lb in labeling.labels.items():
-            seen[pid] = 1
-            if lb != NOISE:
-                clustered[pid] = 1
-                # lb is the minimum member id of the local cluster, hence
-                # itself a member: chaining through it links the whole cluster.
-                uf.union(lb, pid)
-        self.core.update(labeling.core_flags)
 
-    def finish(self) -> ClusterResult:
-        for i in range(self.n):
-            if not self.seen[i]:
-                raise RuntimeError(f"point {i} covered by no region")
-        uf = self.uf
-        # Noise points are never unioned, so a set holding a clustered point
-        # holds only clustered points, and its minimum id is its label.
-        labels = [lb if c else NOISE for lb, c in zip(uf.labels(), self.clustered)]
-        stats = RunStats(uf_ops=uf.op_count, uf_hops=uf.hop_count)
-        return ClusterResult(labels, set(self.core), stats)
+def _summarise_regions(st: RunStats, sizes, epsilon, core_count) -> None:
+    """Fill the region fields of ``st`` from the per-region arrays."""
+    st.region_count = len(sizes)
+    st.max_region_size = int(sizes.max())
+    st.region_size_p50, st.region_size_p90 = np.quantile(sizes, [0.5, 0.9]).tolist()
+    st.epsilon_p50, st.epsilon_p90 = np.quantile(epsilon, [0.5, 0.9]).tolist()
+    st.epsilon_max = float(epsilon.max())
+    st.region_core_p50, st.region_core_p90 = np.quantile(core_count, [0.5, 0.9]).tolist()
+    st.region_core_max = int(core_count.max())
+
+
+def _fold(n: int, members, labels, core) -> ClusterResult:
+    """The reduce over (region, point) memberships: the point id of each,
+    its local label (the lowest member of its local cluster, or NOISE), and
+    whether the point is core there. Each clustered membership links its
+    label to its point. A point is clustered when some link reaches it, and
+    then labelled with the lowest id of its linked component; every other
+    point is NOISE.
+
+    A local label is itself a clustered member, so chaining through it links
+    the whole local cluster; noise points are never linked, so a
+    component's lowest id is a clustered point.
+    """
+    covered = np.zeros(n, dtype=bool)
+    covered[members] = True
+    if not covered.all():
+        raise RuntimeError(f"point {int(np.argmin(covered))} covered by no region")
+    hit = labels != NOISE
+    heads, tails = labels[hit], members[hit]
+    clustered = np.zeros(n, dtype=bool)
+    clustered[tails] = True
+    out = np.where(clustered, _lowest_linked(n, heads, tails), NOISE)
+    core_ids = set(np.unique(members[core]).tolist())
+    return ClusterResult(out.tolist(), core_ids, RunStats(uf_ops=len(heads)))
+
+
+def _lowest_linked(n: int, heads, tails) -> np.ndarray:
+    """Lowest node in each of n nodes' components of the graph whose edges
+    are the links (heads[i], tails[i]).
+
+    The sparse twin of ``density._lowest_in_component``: the same rounds of
+    min-label propagation with root hooking and pointer jumping, with each
+    node's lowest neighbour label gathered along the edge list instead of a
+    matrix row.
+    """
+    lab = np.arange(n)
+    while True:
+        up = lab[lab]
+        low = np.full(n, n)
+        np.minimum.at(low, heads, up[tails])
+        np.minimum.at(low, tails, up[heads])
+        new = np.minimum(up, low)
+        np.minimum.at(new, lab, low)
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
 def reduce_merge(locals_, n: int) -> ClusterResult:
@@ -276,18 +352,21 @@ def reduce_merge(locals_, n: int) -> ClusterResult:
     clusters sharing any clustered point fuse. The output does not depend on
     the order of the pairs.
     """
-    red = _Reducer(n)
+    members, labels, core = [], [], []
     for _region, labeling in locals_:
-        red.add(labeling)
-    return red.finish()
+        members += labeling.labels.keys()
+        labels += labeling.labels.values()
+        core += (p in labeling.core_flags for p in labeling.labels)
+    return _fold(n, np.array(members, np.intp), np.array(labels, np.intp), np.array(core, bool))
 
 
 def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     """Run the full pipeline: thresholds (when not overridden), canopies,
-    regions, the parallel map, and the incremental reduce.
+    regions, the map in stacked array passes, and the reduce as one label
+    propagation.
 
-    Output is a pure function of (data, cfg): worker count and region
-    completion order never change the labels.
+    Output is a pure function of (data, cfg). ``cfg.worker_count`` is
+    accepted and validated but does not change how the map runs.
     """
     t_start = time.perf_counter()
     n = len(data)
@@ -307,35 +386,19 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     regions = build_regions(data, canopies, cfg, tree=tree)
     t_regions = time.perf_counter() - t0
 
-    red = _Reducer(n)
-    t_reduce = 0.0
     t0 = time.perf_counter()
-    if cfg.worker_count == 1 or len(regions) <= 1:
-        for region in regions:
-            local = map_step(region, data)
-            f0 = time.perf_counter()
-            red.add(local)
-            t_reduce += time.perf_counter() - f0
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            futures = [pool.submit(map_step, region, data) for region in regions]
-            for fut in as_completed(futures):
-                local = fut.result()
-                f0 = time.perf_counter()
-                red.add(local)
-                t_reduce += time.perf_counter() - f0
-    t_map = time.perf_counter() - t0 - t_reduce
+    memberships, per_region = _map_regions(data, regions, cfg.m)
+    t_map = time.perf_counter() - t0
 
-    f0 = time.perf_counter()
-    result = red.finish()
-    t_reduce += time.perf_counter() - f0
-    result.stats.region_count = len(regions)
-    result.stats.max_region_size = max((len(r.member_ids) for r in regions), default=0)
-    result.stats.t_tree = t_tree
-    result.stats.t_thresholds = t_thresholds
-    result.stats.t_canopy = t_canopy
-    result.stats.t_regions = t_regions
-    result.stats.t_map = t_map
-    result.stats.t_reduce = t_reduce
-    result.stats.t_total = time.perf_counter() - t_start
+    t0 = time.perf_counter()
+    result = _fold(n, *memberships)
+    st = result.stats
+    st.t_reduce = time.perf_counter() - t0
+    _summarise_regions(st, *per_region)
+    st.t_tree = t_tree
+    st.t_thresholds = t_thresholds
+    st.t_canopy = t_canopy
+    st.t_regions = t_regions
+    st.t_map = t_map
+    st.t_total = time.perf_counter() - t_start
     return result

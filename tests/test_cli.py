@@ -236,3 +236,35 @@ def test_bench_empty_list(tmp_path):
 def test_bench_unknown_algorithm(tmp_path):
     data = gen(tmp_path)
     assert run(["--bench", "dapc,magic", "--input", str(data)]) == 2
+
+
+def test_report_carries_region_summary(tmp_path):
+    # Two far groups on the x axis, one canopy each at m = 2: regions of 4
+    # and 6 points, scan radii 1.5 and 2.0, and 4 and 5 core points (the
+    # point at 108 has no neighbour within 2).
+    data = tmp_path / "lines.csv"
+    data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 100, 101, 102, 103, 104, 108)))
+    report = tmp_path / "report.txt"
+    code = run(
+        [
+            "--algorithm", "dapc",
+            "--m", "2",
+            "--canopy-t1", "10",
+            "--canopy-t2", "10",
+            "--input", str(data),
+            "--output", str(tmp_path / "labels.csv"),
+            "--report", str(report),
+        ]
+    )
+    assert code == 0
+    rep = dict(kv.split("=") for kv in report.read_text().split())
+    assert {k: rep[k] for k in rep if k.split("_")[0] in ("size", "eps", "core")} == {
+        "size_p50": "5",
+        "size_p90": "5.8",
+        "eps_p50": "1.75",
+        "eps_p90": "1.95",
+        "eps_max": "2",
+        "core_p50": "4.5",
+        "core_p90": "4.9",
+        "core_max": "5",
+    }

@@ -61,6 +61,15 @@ def test_squared_distances_bit_identical_to_scalar_loop(dim):
             d = loop_distance(a[i], b[j])
             assert np.sqrt(block[i, j]) == d
             assert distance_coords(tuple(a[i]), tuple(b[j])) == d
+    # A (batch, k, dim) stack gives one block per batch index by the same rule.
+    sa = np.stack([a, a[::-1], rng.normal(size=(25, dim))])
+    sb = np.stack([b, a, b[::-1] * 1e-3])
+    stack = squared_distances(sa, sb)
+    assert stack.shape == (3, 25, 25)
+    for p in range(3):
+        rows = sb[p].tolist()
+        for i in range(25):
+            assert squared_distances_to(sa[p, i].tolist(), rows) == stack[p, i].tolist()
 
 
 def test_distance_triangle_inequality():

@@ -266,3 +266,96 @@ def test_merge_requires_ascending_ids():
     for ids in ([1, 0, 2], [0, 0, 1]):
         with pytest.raises(ValueError, match="strictly ascending"):
             density_cluster(data, ids, DensityConfig(1, 1.0))
+
+
+def bfs_lowest(adj):
+    """Lowest node of each node's component of the boolean matrix ``adj``,
+    by breadth-first search from each node not yet reached, in ascending
+    order."""
+    out = [None] * len(adj)
+    for s in range(len(adj)):
+        if out[s] is not None:
+            continue
+        out[s] = s
+        frontier = [s]
+        while frontier:
+            u = frontier.pop()
+            for v in np.flatnonzero(adj[u]).tolist():
+                if out[v] is None:
+                    out[v] = s
+                    frontier.append(v)
+    return out
+
+
+def stack_graphs(graphs):
+    """Symmetric adjacency matrices of unequal sizes, padded with isolated
+    nodes into one (b, k, k) stack."""
+    k = max(len(g) for g in graphs)
+    adj = np.zeros((len(graphs), k, k), dtype=bool)
+    for p, g in enumerate(graphs):
+        adj[p, : len(g), : len(g)] = g | g.T
+    return adj
+
+
+def chain_graph(rng, k):
+    """A path through the k nodes in random order."""
+    order = rng.permutation(k)
+    g = np.zeros((k, k), dtype=bool)
+    g[order[:-1], order[1:]] = True
+    return g
+
+
+def test_stacked_components_match_bfs_oracle():
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        graphs = []
+        for _ in range(rng.integers(1, 7)):
+            k = int(rng.integers(1, 60))
+            # From almost no edges to one component.
+            g = rng.random((k, k)) < rng.choice([0.0, 0.5 / k, 2.0 / k, 0.2])
+            graphs.append(g if rng.random() < 0.8 else chain_graph(rng, k))
+        adj = stack_graphs(graphs)
+        got = density._lowest_in_component(adj)
+        assert got.shape == adj.shape[:2]
+        for p, g in enumerate(graphs):
+            assert got[p].tolist() == bfs_lowest(adj[p]), trial
+            assert got[p, len(g) :].tolist() == list(range(len(g), adj.shape[1]))
+
+
+def test_stacked_components_of_a_long_chain():
+    # The 1,024-node chain in random id order needs many more rounds than
+    # the edgeless and small partitions stacked with it, which stop early.
+    rng = np.random.default_rng(1024)
+    graphs = [
+        np.zeros((5, 5), dtype=bool),
+        chain_graph(rng, 1024),
+        chain_graph(rng, 37),
+        rng.random((300, 300)) < 0.004,
+    ]
+    adj = stack_graphs(graphs)
+    got = density._lowest_in_component(adj)
+    assert got[1].tolist() == [0] * 1024
+    for p in range(len(graphs)):
+        assert got[p].tolist() == bfs_lowest(adj[p])
+
+
+def test_stacked_merge_matches_one_partition_at_a_time():
+    # Partitions of unequal sizes and scan radii, padded into one stack,
+    # against density_cluster on each alone.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(400, 3))
+    X[rng.choice(400, 60, replace=False)] = X[rng.integers(0, 5, size=60)]
+    data = Dataset.from_coords(X)
+    parts = [np.sort(rng.choice(400, size=s, replace=False)) for s in (1, 9, 40, 64, 17)]
+    k = max(len(p) for p in parts)
+    ids = np.full((len(parts), k), -1)
+    for p, part in enumerate(parts):
+        ids[p, : len(part)] = part
+    epsilon = np.array([estimate_epsilon(X[part], 3) for part in parts])
+    labels, core = density.stacked_merge(data.coords, ids, epsilon, 3)
+    for p, part in enumerate(parts):
+        want = density_cluster(data, part, DensityConfig(3, float(epsilon[p])))
+        assert dict(zip(part.tolist(), labels[p].tolist())) == want.labels
+        assert set(part[core[p, : len(part)]].tolist()) == want.core_flags
+        assert labels[p, len(part) :].tolist() == [NOISE] * (k - len(part))
+        assert not core[p, len(part) :].any()

@@ -10,9 +10,10 @@ from dapclust.baselines import dbscan_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import NOISE, Dataset, squared_distances_to
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
-from dapclust.density import DensityConfig, density_cluster, estimate_epsilon
+from dapclust.density import _MATRIX_CAP, DensityConfig, density_cluster, estimate_epsilon
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
 from dapclust.sstree import SsTree
+from dapclust.unionfind import UnionFind
 
 
 def test_config_validation():
@@ -413,3 +414,74 @@ def test_stage_times_sum_to_total(workers):
     st = cluster(data, PipelineConfig(m=3, worker_count=workers)).stats
     staged = st.t_tree + st.t_canopy + st.t_regions + st.t_map + st.t_reduce
     assert 0.98 * st.t_total <= staged <= st.t_total
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
+    # cluster's stacked batches against map_step on each of its regions and
+    # the reduce of those labelings. A tight far cluster of 1,030 points
+    # makes one region above the matrix cap, one of 300 inside a blob makes
+    # regions that each fill a batch, and the blobs give small classes
+    # batched many regions at a time.
+    blobs, _ = make_blobs(1200, 3, seed=dim, dim=dim)
+    rng = np.random.default_rng(dim)
+    X = np.concatenate([
+        blobs.coords,
+        blobs.coords[11] + rng.normal(size=(300, dim)) * 0.02,
+        blobs.coords[7] + 50.0 + rng.normal(size=(1030, dim)) * 0.01,
+    ])
+    data = Dataset.from_coords(X)
+    built = []
+    real_build = pipeline.build_regions
+
+    def keep(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_regions", keep)
+    cfg = PipelineConfig(m=4)
+    got = cluster(data, cfg)
+    [regions] = built
+    sizes = [len(r.member_ids) for r in regions]
+    assert max(sizes) > _MATRIX_CAP
+    widths = [-(-k // 8) * 8 for k in sizes if k <= _MATRIX_CAP]
+    assert len(set(widths)) >= 5
+    assert widths.count(8) > 100 and max(widths) > 256
+    want = reduce_merge([(r, map_step(r, data)) for r in regions], len(data))
+    assert got.labels == want.labels
+    assert got.core_flags == want.core_flags
+    assert got.stats.uf_ops == want.stats.uf_ops
+
+
+def test_sparse_fold_matches_union_find():
+    rng = np.random.default_rng(17)
+    cases = [
+        (int(n), rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)))
+        for n in rng.integers(1, 400, size=40)
+    ]
+    order = rng.permutation(1024)
+    cases.append((1030, np.stack([order[:-1], order[1:]], axis=1)))  # a chain in random id order
+    for n, links in cases:
+        uf = UnionFind(n)
+        for a, b in links.tolist():
+            uf.union(a, b)
+        got = pipeline._lowest_linked(n, links[:, 0], links[:, 1])
+        assert got.tolist() == uf.labels()
+
+
+def test_region_summary_on_two_lines():
+    # Two far groups on the x axis, one canopy each, m = 2. Scan radii are
+    # the mean distances to the second nearest neighbour:
+    #   A at 0..3:                 (2 + 1 + 1 + 2) / 4 = 1.5, all 4 core;
+    #   B at 100..104 and 108:     (2 + 1 + 1 + 1 + 2 + 5) / 6 = 2.0,
+    #                              108 has no neighbour within 2: 5 core.
+    xs = [0, 1, 2, 3, 100, 101, 102, 103, 104, 108]
+    data = Dataset.from_coords([(float(x), 0.0) for x in xs])
+    st = cluster(data, PipelineConfig(m=2, canopy=CanopyConfig(10.0, 10.0))).stats
+    assert st.region_count == 2
+    assert (st.region_size_p50, st.max_region_size) == (5.0, 6)
+    assert st.region_size_p90 == pytest.approx(5.8)
+    assert (st.epsilon_p50, st.epsilon_max) == (1.75, 2.0)
+    assert st.epsilon_p90 == pytest.approx(1.95)
+    assert (st.region_core_p50, st.region_core_max) == (4.5, 5)
+    assert st.region_core_p90 == pytest.approx(4.9)
