@@ -5,9 +5,10 @@ partition the data, a scan radius inferred independently per partition so
 regions of very different density are handled with one global configuration,
 and a DBSCAN-style density merge whose per-region results fold, by label
 propagation, deterministically into a global partition. An SS+tree index
-answers the whole-dataset neighbour queries; regions of up to 1024 points are
-merged from stacked distance blocks instead. A naive m-nearest-neighbour clusterer and k-means /
-quadratic-DBSCAN baselines are included for comparison.
+answers the whole-dataset neighbour queries; regions of every size are
+merged from stacked distance blocks instead. A naive m-nearest-neighbour
+clusterer and k-means / quadratic-DBSCAN baselines are included for
+comparison.
 """
 
 from .baselines import KMeansConfig, dbscan_reference, kmeans, knn_reference

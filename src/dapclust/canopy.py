@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, Dataset, squared_distances
+from .core import Dataset, kth_distances
 from .sstree import SsTree
 
 _FALLBACK_T2 = 1e-9
@@ -56,8 +56,8 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     inputs (all points identical, or fewer than two points) fall back to a
     tiny positive t2.
 
-    Blocks of sample rows are measured against every row with
-    ``squared_distances``, so each distance has the bits a knn query gives it.
+    The distances come from ``kth_distances``, which measures row blocks of
+    the sample against every row, so each has the bits a knn query gives it.
     The mean is summed in sample order, one distance at a time. The cost is
     O(sample * n), with the sample near 1,000 points.
     """
@@ -67,15 +67,9 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     if n < 2:
         return CanopyConfig(3 * _FALLBACK_T2, _FALLBACK_T2)
     sample = np.arange(0, n, math.ceil(n / 1000))
-    col = min(m, n - 1) - 1  # m-th other point, counted from 0
-    step = max(1, _BLOCK_ENTRIES // n)
     total = 0.0
-    for b in range(0, len(sample), step):
-        rows = sample[b : b + step]
-        sq = squared_distances(data.coords[rows], data.coords)
-        sq[np.arange(len(rows)), rows] = np.inf  # the point itself
-        for dist in np.sqrt(np.partition(sq, col, axis=1)[:, col]).tolist():
-            total += dist
+    for dist in kth_distances(data.coords, sample, min(m, n - 1)).tolist():
+        total += dist
     t2 = total / len(sample)
     if t2 == 0.0:
         return CanopyConfig(3e-9, _FALLBACK_T2)

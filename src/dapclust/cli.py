@@ -18,9 +18,9 @@ from .core import (
     Dataset,
     RunStats,
     distance_coords,
+    kth_distances,
     load_csv,
     save_csv,
-    squared_distances,
 )
 from .metrics import adjusted_rand_index
 from .naive import NaiveConfig, naive_cluster
@@ -292,10 +292,7 @@ def epsilon_grid_report(named_datasets, m: int, grid_size: int = 20, out=None):
     hi = 0.0
     for _name, data, _truth in named_datasets:
         coords = data.coords
-        for i in range(len(coords)):
-            sq = squared_distances(coords[i : i + 1], coords)[0]
-            sq[i] = np.inf
-            lo = min(lo, float(np.sqrt(sq.min())))
+        lo = min(lo, float(kth_distances(coords, np.arange(len(coords)), 1).min()))
         hi = max(hi, distance_coords(coords.max(axis=0), coords.min(axis=0)))
     grid = np.geomspace(lo, hi, grid_size)
     names = [name for name, _d, _t in named_datasets]

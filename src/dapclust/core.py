@@ -13,8 +13,9 @@ import numpy as np
 NOISE = -1
 
 # Array passes that would build one large distance block split it into
-# pieces of at most this many entries (one row or one partition at the
-# least), which keeps their temporaries small.
+# pieces of at most this many entries (one row at the least), which keeps
+# their temporaries small: the row blocks of ``kth_distances`` and the
+# partition batches and row slabs of the density merge.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -84,6 +85,24 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.subtract(a[..., :, j, None], b[..., None, :, j], out=diff)
         np.multiply(diff, diff, out=diff)
         out += diff
+    return out
+
+
+def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row ``rows[i]`` of ``coords`` to its k-th nearest
+    other row, for 1 <= k < len(coords).
+
+    Blocks of the rows are measured against every row with
+    ``squared_distances``, so each distance has the bits of the scalar rule,
+    and no block holds more than ``_BLOCK_ENTRIES`` entries.
+    """
+    out = np.empty(len(rows))
+    step = max(1, _BLOCK_ENTRIES // len(coords))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        sq = squared_distances(coords[block], coords)
+        sq[np.arange(len(block)), block] = np.inf  # the point itself
+        out[lo : lo + step] = np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
     return out
 
 

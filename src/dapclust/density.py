@@ -1,4 +1,11 @@
-"""Per-partition scan-radius inference and the density-reachability merge."""
+"""Per-partition scan-radius inference and the density-reachability merge.
+
+Both run as array passes over distance blocks of at most ``_BLOCK_ENTRIES``
+entries, at every partition size: the estimator over row blocks of the
+partition, the merge over row slabs of a stack of partitions. One sparse
+label propagation, ``_lowest_linked``, gives the merge's components, and the
+pipeline's reduce uses it too.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NOISE, Dataset, squared_distances
-from .sstree import SsTree
-from .unionfind import UnionFind
-
-# Above this partition size the estimator and the density merge switch from
-# one vectorised distance matrix (8 MiB at the cap) to per-point index queries.
-_MATRIX_CAP = 1024
+from .core import _BLOCK_ENTRIES, NOISE, Dataset, kth_distances, squared_distances
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
     ``coords``.
 
     When the partition holds m or fewer points the farthest available
-    neighbour stands in; a single point yields 0.
+    neighbour stands in; a single point yields 0. The distances come from
+    ``kth_distances`` in row blocks, and numpy's ``mean`` averages them.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -58,19 +60,7 @@ def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
     k = len(coords)
     if k <= 1:
         return 0.0
-    col = min(m, k - 1)
-    if k <= _MATRIX_CAP:
-        sq = squared_distances(coords, coords)
-        # Row-sorted position 0 is the point itself (distance 0); position col
-        # is its col-th neighbour even when duplicates contribute more zeros.
-        kth = np.sqrt(np.partition(sq, col, axis=1)[:, col])
-        return c * float(kth.mean())
-    data = Dataset.from_coords(coords)
-    tree = SsTree.build(data)
-    total = 0.0
-    for p in data:
-        total += tree.knn(p, col, include_self=False)[-1][1]
-    return c * (total / k)
+    return c * float(kth_distances(coords, np.arange(k), min(m, k - 1)).mean())
 
 
 def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:
@@ -85,38 +75,19 @@ def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:
     plain set union, and it intentionally differs from classic DBSCAN border
     handling.
 
-    Up to ``_MATRIX_CAP`` points this is ``stacked_merge`` of one partition.
-    Above it, every point runs a range query on an SS+tree of the points and
-    a union-find merges the results, in memory linear in the neighbourhoods.
-    Both routes number the points by position, which follows their ids, and
-    give the same labels.
+    This is ``stacked_merge`` of one partition, at any size.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if np.any(ids[1:] <= ids[:-1]):
         raise ValueError("ids must be strictly ascending")
-    k = len(ids)
-    if k == 0:
+    if len(ids) == 0:
         return LocalLabeling()
-    if k <= _MATRIX_CAP:
-        labels, core = stacked_merge(data.coords, ids[None], np.array([cfg.epsilon]), cfg.m)
-    else:
-        coords = data.coords[ids]
-        tree = SsTree.build(Dataset.from_coords(coords))
-        uf = UnionFind(k)
-        core = np.zeros((1, k), dtype=bool)
-        for i, row in enumerate(coords.tolist()):
-            nbrs = tree.range(row, cfg.epsilon)
-            if len(nbrs) >= cfg.m:
-                core[0, i] = True
-                for j in nbrs:
-                    uf.union(i, j)
-        labels = _component_labels(ids[None], np.array([uf.labels()]), core)
+    labels, core = stacked_merge(data.coords, ids[None], np.array([cfg.epsilon]), cfg.m)
     return LocalLabeling(dict(zip(ids.tolist(), labels[0].tolist())), set(ids[core[0]].tolist()))
 
 
 def stacked_merge(coords: np.ndarray, ids: np.ndarray, epsilon: np.ndarray, m: int):
-    """The density merge of ``density_cluster`` for a stack of partitions of
-    up to ``_MATRIX_CAP`` points each, in a few array passes.
+    """The density merge of ``density_cluster`` for a stack of partitions.
 
     ``ids`` is a (b, k) array: row p holds partition p's point ids (rows of
     ``coords``) in ascending order, padded at its end with -1. ``epsilon``
@@ -124,19 +95,47 @@ def stacked_merge(coords: np.ndarray, ids: np.ndarray, epsilon: np.ndarray, m: i
     core), both (b, k): per slot the lowest id of its component or NOISE,
     and whether it is core. Padding slots come out NOISE and not core.
 
-    One stacked distance block gives every neighbourhood, with the padding
-    masked out of both its rows and its columns, and stacked label
-    propagation gives the components.
+    The stack is cut into slabs of at most ``_BLOCK_ENTRIES`` distance
+    entries: groups of whole partitions when k * k fits, else row slabs of
+    one partition. Each slab's distance block, with the padding masked out
+    of its rows and its columns, gives its rows' neighbourhoods and so their
+    core flags. Each group's core edges then fold into its label array with
+    ``_lowest_linked``, one slab after another, so memory stays at one slab
+    plus O(b * k). A partition cut into row slabs is measured twice: once to
+    count its neighbourhoods, which decides every core flag, and once for
+    its edges, which need the core flags at both ends.
     """
+    b, k = ids.shape
     valid = ids >= 0
     pts = coords[np.where(valid, ids, 0)]
-    # Bit-identical to the distances a range query compares with epsilon.
-    ball = np.sqrt(squared_distances(pts, pts)) <= epsilon[:, None, None]
-    ball &= valid[:, :, None]
-    ball &= valid[:, None, :]
-    core = np.count_nonzero(ball, axis=2) >= m
-    linked = ball & core[:, :, None]
-    comp = _lowest_in_component(linked | linked.transpose(0, 2, 1))
+    parts = max(1, _BLOCK_ENTRIES // (k * k))
+    rows = min(k, max(1, _BLOCK_ENTRIES // k))
+
+    def ball(ps, r):
+        rs = slice(r, r + rows)
+        # Bit-identical to the distances a range query compares with epsilon.
+        hit = np.sqrt(squared_distances(pts[ps, rs], pts[ps])) <= epsilon[ps, None, None]
+        hit &= valid[ps, rs, None]
+        hit &= valid[ps, None, :]
+        return hit
+
+    core = np.zeros((b, k), dtype=bool)
+    comp = np.tile(np.arange(k), (b, 1))  # the lowest slot of each slot's component
+    for p in range(0, b, parts):
+        ps = slice(p, p + parts)
+        for r in range(0, k, rows):
+            hit = ball(ps, r)
+            core[ps, r : r + rows] = np.count_nonzero(hit, axis=2) >= m
+        base = np.arange(len(hit))[:, None] * k  # the group's nodes are q * k + slot
+        for r in range(0, k, rows):
+            if rows < k:  # else ``hit`` is still the group's one block
+                hit = ball(ps, r)
+            # Edges from core rows, each undirected edge once: (i, j) is kept
+            # when j is past i or not core. i itself is core, so i != j.
+            past = np.arange(k) > np.arange(r, min(r + rows, k))[:, None]
+            q, i, j = np.nonzero(hit & core[ps, r : r + rows, None] & (past | ~core[ps, None, :]))
+            lab = _lowest_linked((comp[ps] + base).ravel(), q * k + i + r, q * k + j)
+            comp[ps] = lab.reshape(base.shape[0], k) - base
     return _component_labels(ids, comp, core), core
 
 
@@ -149,36 +148,37 @@ def _component_labels(ids, comp, core):
     return np.where(clustered[rows, comp], ids[rows, comp], NOISE)
 
 
-def _lowest_in_component(adj: np.ndarray) -> np.ndarray:
-    """Lowest index in each node's connected component, for a (b, k, k)
-    stack of symmetric boolean adjacency matrices: one row of k labels per
-    matrix.
+def _lowest_linked(lab: np.ndarray, heads, tails) -> np.ndarray:
+    """Lowest node in each node's connected component, for nodes 0..n-1
+    with the start labels ``lab`` (n of them) and edges (heads[i], tails[i]).
 
-    Min-label propagation with pointer jumping, hooking as in FastSV (Zhang,
-    Azad & Hu, 2020): each round a node and the root of its label both take
-    the lowest grandparent label among the node's neighbours. A label is
-    always a node of its own component no larger than the node, and labels
-    only decrease, so the loop ends; at its fixpoint a component's labels all
-    equal its lowest node. Moving roots, not only nodes, relabels whole trees
-    at once: about a dozen rounds for a 1024-point chain in random id order,
-    where propagating to nodes alone took over 700.
+    ``lab`` is ``np.arange(n)`` for a graph of the edges alone, or the result
+    of an earlier call, so that edges can be folded in one batch after
+    another. Its forest, the edges (x, lab[x]), joins the graph: the rounds
+    below only lower labels along edges, so a start label that is not also an
+    edge would never be checked again, and a component joined through it
+    would split.
 
-    A matrix whose labels did not move in a round has reached its fixpoint,
-    so each round works only on the matrices that still moved in the one
-    before. Labels are kept in the narrowest integer type that holds k.
+    Min-label propagation with root hooking and pointer jumping, as in FastSV
+    (Zhang, Azad & Hu, 2020): each round a node and the root of its label
+    both take the lowest grandparent label among the node's neighbours. A
+    label is always a node of its own component no larger than the node, and
+    labels only decrease, so the loop ends; at its fixpoint a component's
+    labels all equal its lowest node. Moving roots, not only nodes, relabels
+    whole trees at once: about a dozen rounds for a 1,024-node chain in
+    random id order, where propagating to nodes alone took over 700.
     """
-    b, k, _ = adj.shape
-    lab = np.tile(np.arange(k, dtype=np.int16 if k < 2**15 else np.intp), (b, 1))
-    todo = np.arange(b)  # the matrices still moving
-    cur = lab
-    while len(todo):
-        up = np.take_along_axis(cur, cur, axis=1)
-        low = np.where(adj, up[:, None, :], k).min(axis=2)
+    n = len(lab)
+    tree = np.flatnonzero(lab != np.arange(n))
+    heads = np.concatenate([heads, tree])
+    tails = np.concatenate([tails, lab[tree]])
+    while True:
+        up = lab[lab]
+        low = np.full(n, n)
+        np.minimum.at(low, heads, up[tails])
+        np.minimum.at(low, tails, up[heads])
         new = np.minimum(up, low)
-        np.minimum.at(new, (np.arange(len(todo))[:, None], cur), low)
-        moved = (new != cur).any(axis=1)
-        lab[todo] = new
-        if not moved.all():
-            todo, adj, new = todo[moved], adj[moved], new[moved]
-        cur = new
-    return lab
+        np.minimum.at(new, lab, low)
+        if np.array_equal(new, lab):
+            return lab
+        lab = new

@@ -3,8 +3,8 @@
 1. Canopy pre-clustering partitions the data with a cheap metric.
 2. Map: each canopy becomes a region (an inflated bounding sphere with its
    own inferred scan radius), and every region is merged by the density
-   rule on its own. Regions of up to ``_MATRIX_CAP`` points are merged many
-   at a time, in stacked array passes; larger ones one at a time.
+   rule on its own. The regions are merged many at a time, in stacked array
+   passes; a region too large for one distance block is merged in row slabs.
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -25,7 +25,6 @@ import numpy as np
 
 from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from .core import (
-    _BLOCK_ENTRIES,
     NOISE,
     ClusterResult,
     Dataset,
@@ -34,9 +33,9 @@ from .core import (
     squared_distances,
 )
 from .density import (
-    _MATRIX_CAP,
     DensityConfig,
     LocalLabeling,
+    _lowest_linked,
     density_cluster,
     estimate_epsilon,
     stacked_merge,
@@ -236,10 +235,8 @@ def _apply_cap(coords, centers, pid, rid, cap, floor):
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
     """The density merge of one region's members, as rows of ``data``, with
     the region's own scan radius: ``density_cluster`` on its own. ``cluster``
-    merges the regions of up to ``_MATRIX_CAP`` points (1024) in stacked
-    batches instead, with the same result, and calls this only for larger
-    ones, which build an SS+tree of their members. A pure function of its
-    arguments."""
+    merges all regions in stacked batches instead, with the same result. A
+    pure function of its arguments."""
     cfg = DensityConfig(region.m, region.epsilon)
     return density_cluster(data, sorted(region.member_ids), cfg)
 
@@ -249,11 +246,10 @@ def _map_regions(data: Dataset, regions: list[Region], m: int):
     inputs, one entry per (region, point) membership, and each region's
     size, scan radius and core count.
 
-    Regions of up to ``_MATRIX_CAP`` points go through ``stacked_merge`` in
-    batches of one size class: sizes rounded up to a multiple of 8, and as
-    many regions as keep the batch's distance blocks at or below
-    ``_BLOCK_ENTRIES`` entries (one region at the least). Larger regions go
-    through ``map_step`` one at a time.
+    Every non-empty region goes through ``stacked_merge`` with the other
+    regions of its size class, its size rounded up to a multiple of 8.
+    ``stacked_merge`` cuts each class into slabs of at most
+    ``_BLOCK_ENTRIES`` distance entries.
     """
     sizes = np.array([len(r.member_ids) for r in regions])
     epsilon = np.array([r.epsilon for r in regions])
@@ -264,25 +260,16 @@ def _map_regions(data: Dataset, regions: list[Region], m: int):
     starts = np.cumsum(sizes) - sizes
     labels = np.empty(len(members), dtype=np.intp)
     core = np.empty(len(members), dtype=bool)
-    small = (0 < sizes) & (sizes <= _MATRIX_CAP)  # the cap may empty a region
     width = (sizes + 7) // 8 * 8
-    for w in np.unique(width[small]).tolist():
-        cls = np.flatnonzero(small & (width == w))
-        step = max(1, _BLOCK_ENTRIES // (w * w))
+    for w in np.unique(width[sizes > 0]).tolist():  # the cap may empty a region
+        cls = np.flatnonzero(width == w)
         slot = np.arange(w)
-        for lo in range(0, len(cls), step):
-            batch = cls[lo : lo + step]
-            at = starts[batch, None] + slot
-            valid = slot < sizes[batch, None]
-            ids = np.where(valid, members[np.minimum(at, len(members) - 1)], -1)
-            batch_labels, batch_core = stacked_merge(data.coords, ids, epsilon[batch], m)
-            labels[at[valid]] = batch_labels[valid]
-            core[at[valid]] = batch_core[valid]
-    for r in np.flatnonzero(sizes > _MATRIX_CAP).tolist():
-        local = map_step(regions[r], data)
-        span = slice(starts[r], starts[r] + sizes[r])
-        labels[span] = [local.labels[p] for p in members[span].tolist()]
-        core[span] = [p in local.core_flags for p in members[span].tolist()]
+        at = starts[cls, None] + slot
+        valid = slot < sizes[cls, None]
+        ids = np.where(valid, members[np.minimum(at, len(members) - 1)], -1)
+        cls_labels, cls_core = stacked_merge(data.coords, ids, epsilon[cls], m)
+        labels[at[valid]] = cls_labels[valid]
+        core[at[valid]] = cls_core[valid]
     core_count = np.bincount(owner[core], minlength=len(regions))
     return (members, labels, core), (sizes, epsilon, core_count)
 
@@ -318,31 +305,9 @@ def _fold(n: int, members, labels, core) -> ClusterResult:
     heads, tails = labels[hit], members[hit]
     clustered = np.zeros(n, dtype=bool)
     clustered[tails] = True
-    out = np.where(clustered, _lowest_linked(n, heads, tails), NOISE)
+    out = np.where(clustered, _lowest_linked(np.arange(n), heads, tails), NOISE)
     core_ids = set(np.unique(members[core]).tolist())
     return ClusterResult(out.tolist(), core_ids, RunStats(uf_ops=len(heads)))
-
-
-def _lowest_linked(n: int, heads, tails) -> np.ndarray:
-    """Lowest node in each of n nodes' components of the graph whose edges
-    are the links (heads[i], tails[i]).
-
-    The sparse twin of ``density._lowest_in_component``: the same rounds of
-    min-label propagation with root hooking and pointer jumping, with each
-    node's lowest neighbour label gathered along the edge list instead of a
-    matrix row.
-    """
-    lab = np.arange(n)
-    while True:
-        up = lab[lab]
-        low = np.full(n, n)
-        np.minimum.at(low, heads, up[tails])
-        np.minimum.at(low, tails, up[heads])
-        new = np.minimum(up, low)
-        np.minimum.at(new, lab, low)
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
 
 
 def reduce_merge(locals_, n: int) -> ClusterResult:

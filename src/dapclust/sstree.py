@@ -1,9 +1,8 @@
 """SS+tree spatial index: a bounding-sphere hierarchy for knn and range queries.
 
-The tree is bulk-built top-down and immutable afterwards, so any number of
-workers may query it concurrently without locking. Split rule, as in White &
-Jain's SS-tree (ICDE 1996): a group of points is cut at the median of its
-highest-variance coordinate. Oversized groups are re-split largest-first
+The tree is bulk-built top-down and immutable afterwards. Split rule, as in
+White & Jain's SS-tree (ICDE 1996): a group of points is cut at the median of
+its highest-variance coordinate. Oversized groups are re-split largest-first
 until the fanout limit is filled.
 
 Two query forms share one set of decisions. ``knn`` and ``range`` walk the

@@ -1,9 +1,12 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dapclust.core as core
 import dapclust.density as density
 from dapclust.baselines import dbscan_reference
 from dapclust.core import NOISE, Dataset
@@ -68,22 +71,21 @@ def test_epsilon_matches_brute_force():
     assert estimate_epsilon(data.coords, 4) == pytest.approx(brute_mean_knn(coords, 4), abs=1e-9)
 
 
-def test_epsilon_matrix_and_tree_paths_agree():
+def one_row_slabs(monkeypatch):
+    """Cut every distance block of the estimator and the merge to one row."""
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 1)
+
+
+def test_epsilon_matrix_and_tree_paths_agree(monkeypatch):
+    # One 60-row block against 60 one-row blocks.
     rng = random.Random(22)
     coords = [(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(60)]
-    import numpy as np
-
-    import dapclust.density as density
-
     arr = np.array(coords)
     via_matrix = estimate_epsilon(arr, 3)
-    old_cap = density._MATRIX_CAP
-    density._MATRIX_CAP = 1
-    try:
-        via_tree = estimate_epsilon(arr, 3)
-    finally:
-        density._MATRIX_CAP = old_cap
-    assert via_matrix == pytest.approx(via_tree, abs=1e-9)
+    one_row_slabs(monkeypatch)
+    via_rows = estimate_epsilon(arr, 3)
+    assert via_matrix == pytest.approx(via_rows, abs=1e-9)
 
 
 def run_density(data, m, epsilon):
@@ -216,11 +218,11 @@ def numpy_radius(X, k):
 D8_SPLIT_SEEDS = [16, 31, 39, 42, 147]
 
 
-@pytest.mark.parametrize("cap", [None, 1], ids=["matrix", "tree"])
+@pytest.mark.parametrize("one_row", [False, True], ids=["matrix", "row_slabs"])
 @pytest.mark.parametrize("dim", [2, 8, 16])
-def test_both_paths_match_reference_at_high_dimension(dim, cap, monkeypatch):
-    if cap is not None:
-        monkeypatch.setattr(density, "_MATRIX_CAP", cap)
+def test_both_paths_match_reference_at_high_dimension(dim, one_row, monkeypatch):
+    if one_row:
+        one_row_slabs(monkeypatch)
     for s in list(range(20)) + (D8_SPLIT_SEEDS if dim == 8 else []):
         rng = np.random.default_rng(s)
         X = rng.normal(size=(30, dim))
@@ -234,23 +236,28 @@ def test_both_paths_match_reference_at_high_dimension(dim, cap, monkeypatch):
         assert got.core_flags == want.core_flags, s
 
 
-@pytest.mark.parametrize("k", [1024, 1025])
-def test_estimator_and_merge_at_the_real_cap(k):
-    # k of 1,324 rows: 1,024 take the matrix paths and 1,025 the tree paths,
-    # with the cap as shipped. Over a third of the rows repeat one of ten
-    # points.
-    assert density._MATRIX_CAP == 1024
+@pytest.mark.parametrize(
+    ("k", "dim", "copies"),
+    [(1024, 2, 0), (1025, 2, 0), (1025, 8, 0), (1200, 2, 1100)],
+    ids=["1024", "1025", "1025-d8", "1200-copies"],
+)
+def test_estimator_and_merge_at_the_real_cap(k, dim, copies):
+    # k of k + 300 rows: partitions that the estimator and the merge cut
+    # into row blocks and slabs. Over a third of the rows repeat one of ten
+    # points; in the last case 1,100 of the k rows are copies of one point,
+    # so most neighbourhoods lie at distance 0.
     rng = np.random.default_rng(k)
-    X = rng.normal(size=(k + 300, 2))
+    X = rng.normal(size=(k + 300, dim))
     X[rng.choice(len(X), size=500, replace=False)] = X[rng.integers(0, 10, size=500)]
-    data = Dataset.from_coords(X)
     ids = np.sort(rng.choice(len(X), size=k, replace=False)).tolist()
+    X[rng.choice(ids, size=copies, replace=False)] = X[ids[0]]
+    data = Dataset.from_coords(X)
     sub = X[ids]
     m = 4
     epsilon = estimate_epsilon(sub, m)
     # Brute force: each row's sorted distances, itself first.
-    dist = np.sqrt(((sub[:, None, :] - sub[None, :, :]) ** 2).sum(axis=-1))
-    assert epsilon == pytest.approx(np.sort(dist, axis=1)[:, m].mean(), abs=1e-9)
+    kth = [np.sort(np.sqrt(((sub - row) ** 2).sum(axis=-1)))[m] for row in sub]
+    assert epsilon == pytest.approx(np.mean(kth), abs=1e-9)
     for eps in (epsilon, 0.0, 3 * epsilon):
         got = density_cluster(data, ids, DensityConfig(m, eps))
         # The reference numbers the rows of ``sub``; map them back to ids.
@@ -305,6 +312,16 @@ def chain_graph(rng, k):
     return g
 
 
+def lowest_in_stack(adj):
+    """The label propagation on the edges of a (b, k, k) stack, numbering
+    node i of matrix p as p * k + i: the lowest node of each node's
+    component, per matrix."""
+    b, k, _ = adj.shape
+    p, i, j = np.nonzero(adj)
+    lab = density._lowest_linked(np.arange(b * k), p * k + i, p * k + j)
+    return lab.reshape(b, k) - np.arange(0, b * k, k)[:, None]
+
+
 def test_stacked_components_match_bfs_oracle():
     rng = np.random.default_rng(7)
     for trial in range(20):
@@ -315,7 +332,7 @@ def test_stacked_components_match_bfs_oracle():
             g = rng.random((k, k)) < rng.choice([0.0, 0.5 / k, 2.0 / k, 0.2])
             graphs.append(g if rng.random() < 0.8 else chain_graph(rng, k))
         adj = stack_graphs(graphs)
-        got = density._lowest_in_component(adj)
+        got = lowest_in_stack(adj)
         assert got.shape == adj.shape[:2]
         for p, g in enumerate(graphs):
             assert got[p].tolist() == bfs_lowest(adj[p]), trial
@@ -323,8 +340,8 @@ def test_stacked_components_match_bfs_oracle():
 
 
 def test_stacked_components_of_a_long_chain():
-    # The 1,024-node chain in random id order needs many more rounds than
-    # the edgeless and small partitions stacked with it, which stop early.
+    # The 1,024-node chain in random id order, stacked with edgeless and
+    # small partitions.
     rng = np.random.default_rng(1024)
     graphs = [
         np.zeros((5, 5), dtype=bool),
@@ -333,15 +350,16 @@ def test_stacked_components_of_a_long_chain():
         rng.random((300, 300)) < 0.004,
     ]
     adj = stack_graphs(graphs)
-    got = density._lowest_in_component(adj)
+    got = lowest_in_stack(adj)
     assert got[1].tolist() == [0] * 1024
     for p in range(len(graphs)):
         assert got[p].tolist() == bfs_lowest(adj[p])
 
 
-def test_stacked_merge_matches_one_partition_at_a_time():
+def test_stacked_merge_matches_one_partition_at_a_time(monkeypatch):
     # Partitions of unequal sizes and scan radii, padded into one stack,
-    # against density_cluster on each alone.
+    # against density_cluster on each alone. The stack is merged in one
+    # block, in groups of two partitions, and in one-row slabs.
     rng = np.random.default_rng(5)
     X = rng.normal(size=(400, 3))
     X[rng.choice(400, 60, replace=False)] = X[rng.integers(0, 5, size=60)]
@@ -352,10 +370,28 @@ def test_stacked_merge_matches_one_partition_at_a_time():
     for p, part in enumerate(parts):
         ids[p, : len(part)] = part
     epsilon = np.array([estimate_epsilon(X[part], 3) for part in parts])
-    labels, core = density.stacked_merge(data.coords, ids, epsilon, 3)
-    for p, part in enumerate(parts):
-        want = density_cluster(data, part, DensityConfig(3, float(epsilon[p])))
-        assert dict(zip(part.tolist(), labels[p].tolist())) == want.labels
-        assert set(part[core[p, : len(part)]].tolist()) == want.core_flags
-        assert labels[p, len(part) :].tolist() == [NOISE] * (k - len(part))
-        assert not core[p, len(part) :].any()
+    wants = [
+        density_cluster(data, part, DensityConfig(3, float(eps))) for part, eps in zip(parts, epsilon)
+    ]
+    for entries in (2**16, 2 * k * k, k):
+        monkeypatch.setattr(density, "_BLOCK_ENTRIES", entries)
+        labels, core = density.stacked_merge(data.coords, ids, epsilon, 3)
+        for p, (part, want) in enumerate(zip(parts, wants)):
+            assert dict(zip(part.tolist(), labels[p].tolist())) == want.labels, entries
+            assert set(part[core[p, : len(part)]].tolist()) == want.core_flags
+            assert labels[p, len(part) :].tolist() == [NOISE] * (k - len(part))
+            assert not core[p, len(part) :].any()
+
+
+def test_density_step_has_one_route():
+    # The merge and the estimator run as array passes at every partition
+    # size; a per-point SS+tree or union-find route must not come back.
+    tree = ast.parse(Path(density.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"sstree", "unionfind", "SsTree", "UnionFind"}

@@ -10,7 +10,7 @@ from dapclust.baselines import dbscan_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import NOISE, Dataset, squared_distances_to
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
-from dapclust.density import _MATRIX_CAP, DensityConfig, density_cluster, estimate_epsilon
+from dapclust.density import DensityConfig, _lowest_linked, density_cluster, estimate_epsilon
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
 from dapclust.sstree import SsTree
 from dapclust.unionfind import UnionFind
@@ -420,15 +420,17 @@ def test_stage_times_sum_to_total(workers):
 def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
     # cluster's stacked batches against map_step on each of its regions and
     # the reduce of those labelings. A tight far cluster of 1,030 points
-    # makes one region above the matrix cap, one of 300 inside a blob makes
-    # regions that each fill a batch, and the blobs give small classes
-    # batched many regions at a time.
+    # makes one region above 1,024 points, one of 300 inside a blob makes
+    # regions that each fill a batch, 1,100 copies of one blob point make
+    # regions whose neighbourhoods lie at distance 0, and the blobs give
+    # small classes batched many regions at a time.
     blobs, _ = make_blobs(1200, 3, seed=dim, dim=dim)
     rng = np.random.default_rng(dim)
     X = np.concatenate([
         blobs.coords,
         blobs.coords[11] + rng.normal(size=(300, dim)) * 0.02,
         blobs.coords[7] + 50.0 + rng.normal(size=(1030, dim)) * 0.01,
+        np.repeat(blobs.coords[5:6], 1100, axis=0),
     ])
     data = Dataset.from_coords(X)
     built = []
@@ -443,8 +445,8 @@ def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
     got = cluster(data, cfg)
     [regions] = built
     sizes = [len(r.member_ids) for r in regions]
-    assert max(sizes) > _MATRIX_CAP
-    widths = [-(-k // 8) * 8 for k in sizes if k <= _MATRIX_CAP]
+    assert max(sizes) > 1024
+    widths = [-(-k // 8) * 8 for k in sizes if k <= 1024]
     assert len(set(widths)) >= 5
     assert widths.count(8) > 100 and max(widths) > 256
     want = reduce_merge([(r, map_step(r, data)) for r in regions], len(data))
@@ -465,8 +467,20 @@ def test_sparse_fold_matches_union_find():
         uf = UnionFind(n)
         for a, b in links.tolist():
             uf.union(a, b)
-        got = pipeline._lowest_linked(n, links[:, 0], links[:, 1])
+        got = _lowest_linked(np.arange(n), links[:, 0], links[:, 1])
         assert got.tolist() == uf.labels()
+        # The same links folded in chunks, each fold starting from the last.
+        lab = np.arange(n)
+        for chunk in np.array_split(links, 5):
+            lab = _lowest_linked(lab, chunk[:, 0], chunk[:, 1])
+        assert lab.tolist() == uf.labels()
+    # Start labels that join 7 to 2: the fold must keep that link while the
+    # new links join 7 to 1 and 2 to 0, or it settles at 7 -> 1 and 2 -> 0.
+    uf = UnionFind(8)
+    for a, b in [(7, 2), (7, 1), (2, 0)]:
+        uf.union(a, b)
+    got = _lowest_linked(np.array([0, 1, 2, 3, 4, 5, 6, 2]), np.array([7, 2]), np.array([1, 0]))
+    assert got.tolist() == uf.labels() == [0, 0, 0, 3, 4, 5, 6, 0]
 
 
 def test_region_summary_on_two_lines():
