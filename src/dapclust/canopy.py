@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, kth_distances
-from .sstree import SsTree
 
 _FALLBACK_T2 = 1e-9
 
@@ -76,7 +75,54 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     return CanopyConfig(3.0 * t2, t2)
 
 
-def canopy_cluster(data: Dataset, cfg: CanopyConfig, tree: SsTree | None = None) -> list[Canopy]:
+def _grid_windows(coords: np.ndarray, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's candidate slices for the sweep: the points of its own
+    grid cell and of the neighbouring cells.
+
+    The cells are cut on the (up to) two coordinates of widest spread. A
+    cell's side is at least t1 plus the rounding of ``x - min`` across the
+    coordinate's span, with a relative margin for the division, so any two
+    points within t1 on a coordinate land at most one cell apart there. A
+    larger side only adds candidates. The floor of span * 2**-40 keeps every
+    cell number exact in float64 and inside int64.
+
+    Returns ``order``, the point ids sorted by cell, and an (n, 6) array of
+    (start, stop) positions in ``order``, one pair per row of neighbouring
+    cells: those cells are adjacent in ``order``.
+    """
+    n = len(coords)
+    lo = coords.min(axis=0)
+    with np.errstate(over="ignore"):  # a span past the float range leaves the grid
+        span = coords.max(axis=0) - lo
+    width = np.where(np.isfinite(span), span, -1.0)
+    cells = np.zeros((n, 2), dtype=np.int64)
+    for col, a in enumerate(np.argsort(-width, kind="stable")[:2].tolist()):
+        if width[a] < 0:
+            break
+        s = float(span[a])
+        side = max((t1 + s * 2**-50) * (1 + 2**-10), s * 2**-40)
+        cells[:, col] = np.floor((coords[:, a] - lo[a]) / side)
+    # Cell numbers can reach 2**40 per coordinate, so rows and columns are
+    # keyed by their rank among the occupied ones.
+    xs, rx = np.unique(cells[:, 0], return_inverse=True)
+    ys, ry = np.unique(cells[:, 1], return_inverse=True)
+    key = rx * len(ys) + ry
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    y_lo = np.searchsorted(ys, cells[:, 1] - 1)
+    y_hi = np.searchsorted(ys, cells[:, 1] + 1, side="right")
+    bounds = np.empty((n, 6), dtype=np.int64)
+    for w, dx in enumerate((-1, 0, 1)):
+        row = np.searchsorted(xs, cells[:, 0] + dx)
+        start = np.searchsorted(key, row * len(ys) + y_lo)
+        stop = np.searchsorted(key, row * len(ys) + y_hi)
+        occupied = xs[np.minimum(row, len(xs) - 1)] == cells[:, 0] + dx
+        bounds[:, 2 * w] = start
+        bounds[:, 2 * w + 1] = np.where(occupied, stop, start)
+    return order, bounds
+
+
+def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     """Run the standard canopy sweep.
 
     The candidate pool starts as all ids ascending. Repeatedly the lowest
@@ -85,31 +131,26 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig, tree: SsTree | None = None)
     canopies; every point belongs to at least one. Seed selection by id makes
     the output identical across runs and worker counts.
 
-    Each iteration scans only the candidates in a Euclidean superset of the
-    seed's t1 box, found with a range query on ``tree`` (built here when not
-    given; it must index ``data``). The max-coordinate metric never exceeds
-    the Euclidean one, so radius t1*sqrt(dim) covers the box.
+    Each seed tests only the points of its own grid cell and the
+    neighbouring ones (3 x 3 cells, or 3 in one dimension), which hold every
+    point within t1 of it (see ``_grid_windows``), as canopies take their
+    candidates from a cheap index (McCallum, Nigam & Ungar, KDD 2000).
     """
     n = len(data)
     canopies: list[Canopy] = []
     if n == 0:
         return canopies
-    if tree is None:
-        tree = SsTree.build(data)
     coords = data.coords
+    order, bounds = _grid_windows(coords, cfg.t1)
     alive = np.ones(n, dtype=bool)
-    l2_radius = cfg.t1 * math.sqrt(max(data.dim, 1)) * (1.0 + 1e-12)
-    next_seed = 0
-    while True:
-        while next_seed < n and not alive[next_seed]:
-            next_seed += 1
-        if next_seed == n:
-            break
-        seed = next_seed
-        near = np.array(tree.range(coords[seed], l2_radius), dtype=np.intp)
-        cand = near[alive[near]]
+    for seed in range(n):
+        if not alive[seed]:
+            continue
+        a, b, c, d, e, f = bounds[seed].tolist()
+        cand = np.concatenate((order[a:b], order[c:d], order[e:f]))
+        cand = cand[alive[cand]]
         cheap = np.abs(coords[cand] - coords[seed]).max(axis=1)
         members = cand[cheap <= cfg.t1]
-        canopies.append(Canopy(seed, frozenset(int(i) for i in members)))
+        canopies.append(Canopy(seed, frozenset(members.tolist())))
         alive[cand[cheap <= cfg.t2]] = False
     return canopies

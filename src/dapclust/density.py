@@ -1,10 +1,11 @@
 """Per-partition scan-radius inference and the density-reachability merge.
 
-Both run as array passes over distance blocks of at most ``_BLOCK_ENTRIES``
-entries, at every partition size: the estimator over row blocks of the
-partition, the merge over row slabs of a stack of partitions. One sparse
-label propagation, ``_lowest_linked``, gives the merge's components, and the
-pipeline's reduce uses it too.
+Both run as array passes over stacks of partitions, in distance blocks of
+at most ``_BLOCK_ENTRIES`` entries, at every partition size: the estimator
+over groups of equal-size partitions, or row blocks of a large one, and the
+merge over groups of padded partitions, or row slabs of a large one. One
+sparse label propagation, ``_lowest_linked``, gives the merge's components,
+and the pipeline's reduce uses it too.
 """
 
 from __future__ import annotations
@@ -50,17 +51,46 @@ def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
     ``coords``.
 
     When the partition holds m or fewer points the farthest available
-    neighbour stands in; a single point yields 0. The distances come from
-    ``kth_distances`` in row blocks, and numpy's ``mean`` averages them.
+    neighbour stands in; a single point yields 0. This is
+    ``stacked_epsilon`` of one partition.
+    """
+    return float(stacked_epsilon(coords[None], m, c)[0])
+
+
+def stacked_epsilon(pts: np.ndarray, m: int, c: float = 1.0) -> np.ndarray:
+    """``estimate_epsilon`` of each partition of a (b, k, dim) stack of
+    partitions of k points each: the (b,) scan radii.
+
+    Partitions of k * k distances up to ``_BLOCK_ENTRIES`` are measured many
+    at a time, each as one (k, k) block; larger ones in ``kth_distances``
+    row blocks, one partition after another. Either way each distance has
+    the bits of the scalar rule, and numpy's ``mean`` averages a partition's
+    k distances as one contiguous row. Its pairwise sum depends on the row
+    length, so partitions are stacked only with others of the same size,
+    never padded.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not 0 < c < math.inf:
         raise ValueError("c must be positive and finite")
-    k = len(coords)
+    b, k = pts.shape[:2]
     if k <= 1:
-        return 0.0
-    return c * float(kth_distances(coords, np.arange(k), min(m, k - 1)).mean())
+        return np.zeros(b)
+    kth = min(m, k - 1)
+    mean = np.empty(b)
+    if k * k > _BLOCK_ENTRIES:
+        for p in range(b):
+            mean[p] = kth_distances(pts[p], np.arange(k), kth).mean()
+    else:
+        parts = _BLOCK_ENTRIES // (k * k)
+        diag = np.arange(k)
+        for p in range(0, b, parts):
+            group = pts[p : p + parts]
+            sq = squared_distances(group, group)
+            sq[:, diag, diag] = np.inf  # the point itself
+            kth_dist = np.sqrt(np.partition(sq, kth - 1, axis=2)[..., kth - 1])
+            mean[p : p + parts] = kth_dist.mean(axis=1)
+    return c * mean
 
 
 def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:

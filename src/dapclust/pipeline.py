@@ -1,6 +1,7 @@
 """Three-stage density-adaptive clustering.
 
-1. Canopy pre-clustering partitions the data with a cheap metric.
+1. Canopy pre-clustering partitions the data with a cheap metric, taking
+   each seed's candidates from a coordinate grid.
 2. Map: each canopy becomes a region (an inflated bounding sphere with its
    own inferred scan radius), and every region is merged by the density
    rule on its own. The regions are merged many at a time, in stacked array
@@ -37,10 +38,10 @@ from .density import (
     LocalLabeling,
     _lowest_linked,
     density_cluster,
-    estimate_epsilon,
+    stacked_epsilon,
     stacked_merge,
 )
-from .sstree import SsTree, bounding_sphere
+from .sstree import SsTree, stacked_bounding_sphere
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,33 @@ def _nearest_free(coords, center, free) -> list[tuple[int, float]]:
     return list(zip(cand[order].tolist(), dist[order].tolist()))
 
 
+def _ascending_members(sets):
+    """Every set's ids in ascending order, one set after another, as one
+    array; with the index of the set of each entry, and each set's size."""
+    sizes = np.array([len(s) for s in sets], dtype=np.intp)
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    members = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
+    return members[np.lexsort((members, owner))], owner, sizes
+
+
+def _canopy_estimates(coords, canopies, m, c):
+    """Each canopy's scan radius, and the centre and radius of its members'
+    bounding sphere, as (z,), (z, dim) and (z,) arrays. The members are taken
+    in ascending id. Canopies of equal size form one (b, k, dim) stack for
+    ``stacked_epsilon`` and ``stacked_bounding_sphere``."""
+    members, _, sizes = _ascending_members([canopy.member_ids for canopy in canopies])
+    starts = np.cumsum(sizes) - sizes
+    eps = np.zeros(len(canopies))
+    centers = np.zeros((len(canopies), coords.shape[1]))
+    radius = np.zeros(len(canopies))
+    for k in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == k)
+        pts = coords[members[starts[group, None] + np.arange(k)]]
+        eps[group] = stacked_epsilon(pts, m, c)
+        centers[group], radius[group] = stacked_bounding_sphere(pts)
+    return eps, centers, radius
+
+
 def build_regions(
     data: Dataset,
     canopies: list[Canopy],
@@ -110,11 +138,13 @@ def build_regions(
     nearest points (ties by lower id) that still have cap budget; when none is
     left the smaller region is accepted.
 
-    One ``SsTree.range_many`` walk finds the members of every region, and the
-    cap works on arrays of (point, region) pairs, ordered by one lexsort on
-    (point, squared distance to the region's center, region id). Only the
-    points over the cap are visited one by one, in ascending id, because
-    whether a region may still lose a point depends on the drops before it.
+    The scan radii and spheres come from stacked array passes (see
+    ``_canopy_estimates``). One ``SsTree.range_many`` walk finds the members
+    of every region, and the cap works on arrays of (point, region) pairs,
+    ordered by one lexsort on (point, squared distance to the region's
+    center, region id). Only the points over the cap are visited one by one,
+    in ascending id, because whether a region may still lose a point depends
+    on the drops before it.
     """
     n = len(data)
     if tree is None:
@@ -122,14 +152,10 @@ def build_regions(
     coords = data.coords
     floor = min(cfg.m, n)
     z = len(canopies)
-    centers, radii, eps = [], [], []
-    for canopy in canopies:
-        sub = coords[sorted(canopy.member_ids)]
-        eps.append(estimate_epsilon(sub, cfg.m, cfg.c))
-        center, radius = bounding_sphere(sub)
-        centers.append(center)
-        radii.append(radius + eps[-1])
-    center_rows = np.array(centers, dtype=np.float64).reshape(z, data.dim)
+    eps, center_rows, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
+    centers = [tuple(row) for row in center_rows.tolist()]
+    radii = (radius + eps).tolist()
+    eps = eps.tolist()
     ptr, pids = tree.range_many(center_rows, radii)
     rids = np.repeat(np.arange(z, dtype=pids.dtype), np.diff(ptr))
     short = np.flatnonzero(np.diff(ptr) < floor)
@@ -251,12 +277,8 @@ def _map_regions(data: Dataset, regions: list[Region], m: int):
     ``stacked_merge`` cuts each class into slabs of at most
     ``_BLOCK_ENTRIES`` distance entries.
     """
-    sizes = np.array([len(r.member_ids) for r in regions])
+    members, owner, sizes = _ascending_members([r.member_ids for r in regions])
     epsilon = np.array([r.epsilon for r in regions])
-    # Every region's members in ascending id, one region after another.
-    owner = np.repeat(np.arange(len(regions)), sizes)
-    members = np.fromiter(chain.from_iterable(r.member_ids for r in regions), np.intp, len(owner))
-    members = members[np.lexsort((members, owner))]
     starts = np.cumsum(sizes) - sizes
     labels = np.empty(len(members), dtype=np.intp)
     core = np.empty(len(members), dtype=bool)
@@ -344,7 +366,7 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     t0 = time.perf_counter()
     canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m)
     t_thresholds = 0.0 if cfg.canopy else time.perf_counter() - t0
-    canopies = canopy_cluster(data, canopy_cfg, tree=tree)
+    canopies = canopy_cluster(data, canopy_cfg)
     t_canopy = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,8 +1,13 @@
+import ast
+import inspect
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dapclust.canopy as canopy
 from dapclust.baselines import knn_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, cheap_distance, estimate_thresholds
 from dapclust.core import Dataset
@@ -161,14 +166,110 @@ def test_sweep_deterministic():
 
 
 def test_sweep_indexed_path_matches_scan_path():
-    from dapclust.sstree import SsTree
-
     rng = random.Random(15)
     for dim in (2, 3):
         coords = [tuple(rng.gauss(0, 4) for _ in range(dim)) for _ in range(300)]
         data = Dataset.from_coords(coords)
         cfg = CanopyConfig(2.5, 1.0)
-        expected = sweep_oracle(coords, cfg.t1, cfg.t2)
-        for tree in (None, SsTree.build(data)):
-            got = canopy_cluster(data, cfg, tree=tree)
-            assert [(c.center_id, c.member_ids) for c in got] == expected
+        got = canopy_cluster(data, cfg)
+        assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(coords, cfg.t1, cfg.t2)
+
+
+def edge_inputs(dim):
+    """(name, coords, cfg) cases for the sweep's grid: bounds met exactly, a
+    large offset, a far outlier, heavy duplicates and a single spread axis."""
+    rng = random.Random(dim)
+    # Half-integer lattices: many pairs are exactly t1 = 3 or t2 = 1 apart
+    # along an axis, and every difference is exact, also past 1e6.
+    lattice = [tuple(rng.randrange(-12, 13) / 2 for _ in range(dim)) for _ in range(250)]
+    unit = [tuple(float(i == a) for i in range(dim)) for a in range(dim)]
+    axes = [(0.0,) * dim] + [tuple(s * t * v for v in u) for u in unit for t in (1.0, 3.0) for s in (1, -1)]
+    for offset in (0.0, 1e6):
+        rows = [tuple(v + offset for v in row) for row in axes + lattice]
+        yield f"exact+{offset:g}", rows, CanopyConfig(3.0, 1.0)
+    plain = [tuple(rng.gauss(0, 3) + 1e6 for _ in range(dim)) for _ in range(300)]
+    yield "offset", plain, None
+    # 1,100 points across many cells, so that some pairs straddle every cell
+    # edge, and an outlier at an odd id, which the every-second-point
+    # threshold sample skips, so t1 does not depend on where it is. At a
+    # span of 1.05e12 * t1 the cells are still about t1 wide, and ``x - min``
+    # rounds by about 2e-4 * t1; at 3e13 * t1 the cell side is set by the
+    # span instead.
+    cluster = [tuple(rng.uniform(0, 10) for _ in range(dim)) for _ in range(1100)]
+
+    def with_outlier(x):
+        return cluster[:7] + [(x,) * dim] + cluster[7:]
+
+    t1 = estimate_thresholds(Dataset.from_coords(with_outlier(-1e6)), 4).t1
+    for ratio in (-1.05e12, 1.05e12, -3e13):
+        yield f"outlier{ratio:g}", with_outlier(ratio * t1), None
+    distinct = [tuple(rng.uniform(0, 10) for _ in range(dim)) for _ in range(20)]
+    copies = distinct * 15
+    rng.shuffle(copies)
+    yield "duplicates", copies, None
+    yield "one-axis", [(rng.uniform(0, 20),) + (5.0,) * (dim - 1) for _ in range(300)], None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sweep_matches_oracle_on_grid_edge_cases(dim):
+    for name, coords, cfg in edge_inputs(dim):
+        data = Dataset.from_coords(coords)
+        cfg = cfg or estimate_thresholds(data, 4)
+        if name.startswith("outlier"):
+            span = data.coords.max(axis=0) - data.coords.min(axis=0)
+            assert span.max() / cfg.t1 > 1e12
+        got = canopy_cluster(data, cfg)
+        assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(coords, cfg.t1, cfg.t2), name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sweep_survives_cell_rounding(dim):
+    # Pairs just within t1 of each other, set astride the edges of cells t1
+    # wide, 1.05e12 * t1 above an outlier: ``x - min`` rounds by about
+    # 1.5e-5, so cells exactly t1 wide put some pairs two cells apart. The
+    # sweep's cells must not.
+    rng = np.random.default_rng(dim)
+    t1 = 0.1
+    low = -1.05e12 * t1
+    edges = low + (np.arange(1, 200) + 1.05e12) * t1
+    near = edges + rng.uniform(-2e-5, 2e-5, len(edges))
+    far = near + t1 * (1 - rng.uniform(0, 1e-6, len(edges)))
+    x = np.concatenate([near, far, [low]])
+    naive = np.floor((x - low) / t1)
+    within = np.abs(far - near) <= t1
+    assert np.any(within & (naive[len(near) : -1] - naive[: len(near)] >= 2))
+    rows = [(v,) + (0.0,) * (dim - 1) for v in x.tolist()]
+    got = canopy_cluster(Dataset.from_coords(rows), CanopyConfig(t1, t1 / 2))
+    assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(rows, t1, t1 / 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sweep_bounds_are_inclusive(dim):
+    # Seed 0 at the origin: the points t2 away leave the pool, the points t1
+    # away join its canopy and seed their own, and the points just past t1
+    # stay out of it.
+    t1, t2 = 3.0, 1.0
+    past = math.nextafter(t1, math.inf)
+    rows = [(0.0,) * dim]
+    for a in range(dim):
+        for t in (t2, t1, past):
+            rows.append(tuple(t if i == a else 0.0 for i in range(dim)))
+    got = canopy_cluster(Dataset.from_coords(rows), CanopyConfig(t1, t2))
+    assert got[0] == Canopy(0, frozenset(i for i in range(len(rows)) if i % 3 != 0) | {0})
+    assert [c.center_id for c in got[:dim + 1]] == [0] + [3 * a + 2 for a in range(dim)]
+    assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(rows, t1, t2)
+
+
+def test_canopy_sweep_uses_no_tree():
+    # The sweep takes its candidates from a grid; an SS+tree query per seed
+    # must not come back.
+    tree = ast.parse(Path(canopy.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"sstree", "SsTree"}
+    assert "tree" not in inspect.signature(canopy_cluster).parameters

@@ -10,9 +10,15 @@ from dapclust.baselines import dbscan_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import NOISE, Dataset, squared_distances_to
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
-from dapclust.density import DensityConfig, _lowest_linked, density_cluster, estimate_epsilon
+from dapclust.density import (
+    DensityConfig,
+    _lowest_linked,
+    density_cluster,
+    estimate_epsilon,
+    stacked_epsilon,
+)
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
-from dapclust.sstree import SsTree
+from dapclust.sstree import SsTree, bounding_sphere, stacked_bounding_sphere
 from dapclust.unionfind import UnionFind
 
 
@@ -380,6 +386,74 @@ def test_regrowth_stops_when_no_point_has_cap_budget():
     regions = build_regions(data, canopies, cfg, tree=CountingTree())
     assert any(len(r.member_ids) < cfg.m for r in regions)
     assert all(k == cfg.m for k in asked)  # only the pre-cap floor queries
+
+
+def scalar_estimates(rows, m, c):
+    """The scan radius and the bounding sphere of one partition (a list of
+    coordinate tuples) by the scalar rule: each row's m-th nearest other row
+    (the farthest when there are fewer), averaged by numpy's ``mean``; then
+    two far-point passes from the first row, ties to the lowest row."""
+    k = len(rows)
+    kth = []
+    for i, row in enumerate(rows):
+        dist = sorted(math.sqrt(s) for s in squared_distances_to(row, rows[:i] + rows[i + 1 :]))
+        if dist:
+            kth.append(dist[min(m, k - 1) - 1])
+    epsilon = c * float(np.mean(kth)) if kth else 0.0
+
+    def farthest(p):
+        sq = squared_distances_to(p, rows)
+        return rows[sq.index(max(sq))]
+
+    p1 = farthest(rows[0])
+    p2 = farthest(p1)
+    center = tuple((a + b) / 2.0 for a, b in zip(p1, p2))
+    return epsilon, center, math.sqrt(max(squared_distances_to(center, rows)))
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
+    # Stacks of equal-size partitions against the scalar rule, partition by
+    # partition, to the last bit. The sizes cross numpy's pairwise-sum blocks
+    # (8 and 128 terms) and the row blocks above 256 rows; five partitions of
+    # 128 or 129 rows fill more than one 2**16-entry group. Every second
+    # partition is three points repeated.
+    m, c = 4, 0.75
+    rng = np.random.default_rng(dim)
+    for k in (1, 2, m, m + 1, 8, 9, 128, 129, 300):
+        b = 2 if k > 256 else 5
+        pts = rng.normal(size=(b, k, dim))
+        pts[1::2] = pts[1::2, rng.integers(0, min(3, k), size=k)]
+        epsilon = stacked_epsilon(pts, m, c)
+        centers, radii = stacked_bounding_sphere(pts)
+        for p in range(b):
+            got = [float(epsilon[p]), *centers[p].tolist(), float(radii[p])]
+            want_eps, want_center, want_radius = scalar_estimates(
+                [tuple(row) for row in pts[p].tolist()], m, c
+            )
+            want = [want_eps, *want_center, want_radius]
+            assert [v.hex() for v in got] == [v.hex() for v in want], (k, p)
+
+
+def test_region_estimates_match_per_canopy_rule():
+    # build_regions gathers canopies of one size into a stack: each region
+    # keeps its own canopy's scan radius and sphere, measured on the
+    # members in ascending id. Regrowth may only widen a sphere.
+    data, _ = make_blobs(1500, 4, seed=31)
+    cfg = PipelineConfig(m=4, c=1.3)
+    canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
+    assert len({len(c.member_ids) for c in canopies}) > 5
+    regions = build_regions(data, canopies, cfg)
+    unchanged = 0
+    for canopy, region in zip(canopies, regions):
+        sub = data.coords[sorted(canopy.member_ids)]
+        epsilon = estimate_epsilon(sub, cfg.m, cfg.c)
+        center, radius = bounding_sphere(sub)
+        assert region.epsilon.hex() == epsilon.hex()
+        assert region.sphere.center == center
+        assert region.sphere.radius >= radius + epsilon
+        unchanged += region.sphere.radius == radius + epsilon
+    assert unchanged > len(regions) // 2
 
 
 @pytest.mark.parametrize("dim", [2, 8])
