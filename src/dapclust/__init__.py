@@ -4,11 +4,11 @@ A clustering toolkit built around three ideas: cheap canopy pre-clustering to
 partition the data, a scan radius inferred independently per partition so
 regions of very different density are handled with one global configuration,
 and a DBSCAN-style density merge whose per-region results fold, by label
-propagation, deterministically into a global partition. An SS+tree index
-answers the whole-dataset neighbour queries; regions of every size are
-merged from stacked distance blocks instead. A naive m-nearest-neighbour
-clusterer and k-means / quadratic-DBSCAN baselines are included for
-comparison.
+propagation, deterministically into a global partition. Coordinate grids
+answer the pipeline's neighbour queries, and regions of every size are
+merged from stacked distance blocks. A naive m-nearest-neighbour clusterer
+over an SS+tree index and k-means / quadratic-DBSCAN baselines are included
+for comparison.
 """
 
 from .baselines import KMeansConfig, dbscan_reference, kmeans, knn_reference

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, kth_distances
+from .grid import Grid
 
 _FALLBACK_T2 = 1e-9
 
@@ -75,53 +76,6 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     return CanopyConfig(3.0 * t2, t2)
 
 
-def _grid_windows(coords: np.ndarray, t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's candidate slices for the sweep: the points of its own
-    grid cell and of the neighbouring cells.
-
-    The cells are cut on the (up to) two coordinates of widest spread. A
-    cell's side is at least t1 plus the rounding of ``x - min`` across the
-    coordinate's span, with a relative margin for the division, so any two
-    points within t1 on a coordinate land at most one cell apart there. A
-    larger side only adds candidates. The floor of span * 2**-40 keeps every
-    cell number exact in float64 and inside int64.
-
-    Returns ``order``, the point ids sorted by cell, and an (n, 6) array of
-    (start, stop) positions in ``order``, one pair per row of neighbouring
-    cells: those cells are adjacent in ``order``.
-    """
-    n = len(coords)
-    lo = coords.min(axis=0)
-    with np.errstate(over="ignore"):  # a span past the float range leaves the grid
-        span = coords.max(axis=0) - lo
-    width = np.where(np.isfinite(span), span, -1.0)
-    cells = np.zeros((n, 2), dtype=np.int64)
-    for col, a in enumerate(np.argsort(-width, kind="stable")[:2].tolist()):
-        if width[a] < 0:
-            break
-        s = float(span[a])
-        side = max((t1 + s * 2**-50) * (1 + 2**-10), s * 2**-40)
-        cells[:, col] = np.floor((coords[:, a] - lo[a]) / side)
-    # Cell numbers can reach 2**40 per coordinate, so rows and columns are
-    # keyed by their rank among the occupied ones.
-    xs, rx = np.unique(cells[:, 0], return_inverse=True)
-    ys, ry = np.unique(cells[:, 1], return_inverse=True)
-    key = rx * len(ys) + ry
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    y_lo = np.searchsorted(ys, cells[:, 1] - 1)
-    y_hi = np.searchsorted(ys, cells[:, 1] + 1, side="right")
-    bounds = np.empty((n, 6), dtype=np.int64)
-    for w, dx in enumerate((-1, 0, 1)):
-        row = np.searchsorted(xs, cells[:, 0] + dx)
-        start = np.searchsorted(key, row * len(ys) + y_lo)
-        stop = np.searchsorted(key, row * len(ys) + y_hi)
-        occupied = xs[np.minimum(row, len(xs) - 1)] == cells[:, 0] + dx
-        bounds[:, 2 * w] = start
-        bounds[:, 2 * w + 1] = np.where(occupied, stop, start)
-    return order, bounds
-
-
 def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     """Run the standard canopy sweep.
 
@@ -131,23 +85,26 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     canopies; every point belongs to at least one. Seed selection by id makes
     the output identical across runs and worker counts.
 
-    Each seed tests only the points of its own grid cell and the
-    neighbouring ones (3 x 3 cells, or 3 in one dimension), which hold every
-    point within t1 of it (see ``_grid_windows``), as canopies take their
-    candidates from a cheap index (McCallum, Nigam & Ungar, KDD 2000).
+    Each seed tests only the points of its box of half-width t1 in a grid of
+    cells t1 wide, which holds every point within t1 of it (see
+    ``Grid.boxes``), as canopies take their candidates from a cheap index
+    (McCallum, Nigam & Ungar, KDD 2000).
     """
     n = len(data)
     canopies: list[Canopy] = []
     if n == 0:
         return canopies
     coords = data.coords
-    order, bounds = _grid_windows(coords, cfg.t1)
+    grid = Grid(coords, cfg.t1)
+    order = grid.order
+    query, start, stop = grid.boxes(coords, cfg.t1)
+    ptr = np.searchsorted(query, np.arange(n + 1)).tolist()
+    slices = list(zip(start.tolist(), stop.tolist()))
     alive = np.ones(n, dtype=bool)
     for seed in range(n):
         if not alive[seed]:
             continue
-        a, b, c, d, e, f = bounds[seed].tolist()
-        cand = np.concatenate((order[a:b], order[c:d], order[e:f]))
+        cand = np.concatenate([order[a:b] for a, b in slices[ptr[seed] : ptr[seed + 1]]])
         cand = cand[alive[cand]]
         cheap = np.abs(coords[cand] - coords[seed]).max(axis=1)
         members = cand[cheap <= cfg.t1]

@@ -185,7 +185,6 @@ def _report_line(name: str, data: Dataset, args, result: ClusterResult) -> str:
         f"core_p50={s.region_core_p50:g}",
         f"core_p90={s.region_core_p90:g}",
         f"core_max={s.region_core_max}",
-        f"t_tree={s.t_tree:.6f}",
         f"t_thresholds={s.t_thresholds:.6f}",
         f"t_canopy={s.t_canopy:.6f}",
         f"t_regions={s.t_regions:.6f}",

@@ -88,6 +88,19 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def paired_squared_distances(a: np.ndarray, ia, b: np.ndarray, ib) -> np.ndarray:
+    """Squared distance between rows ``a[ia[i]]`` and ``b[ib[i]]``, for every
+    i, with the bits of ``squared_distances``. Taken one coordinate column at
+    a time, so no (pairs, dim) copy is made."""
+    out = np.zeros(len(ia))
+    diff = np.empty(len(ia))
+    for j in range(a.shape[1]):
+        np.subtract(a[ia, j], b[ib, j], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return out
+
+
 def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Distance from each row ``rows[i]`` of ``coords`` to its k-th nearest
     other row, for 1 <= k < len(coords).
@@ -104,6 +117,34 @@ def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
         sq[np.arange(len(block)), block] = np.inf  # the point itself
         out[lo : lo + step] = np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
     return out
+
+
+def bounding_sphere(coords: np.ndarray) -> tuple[tuple[float, ...], float]:
+    """Approximate minimum enclosing sphere of a coordinate array.
+
+    Two far-point passes pick a diameter estimate; the radius then expands to
+    the farthest point so containment is guaranteed. This is
+    ``stacked_bounding_sphere`` of one partition.
+    """
+    if len(coords) == 0:
+        return (), 0.0
+    center, radius = stacked_bounding_sphere(coords[None])
+    return tuple(center[0].tolist()), float(radius[0])
+
+
+def stacked_bounding_sphere(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bounding_sphere`` of each partition of a (b, k, dim) stack, k >= 1:
+    the (b, dim) centres and (b,) radii. Each partition starts from its
+    first row, and ties go to the lowest row."""
+    rows = np.arange(len(pts))
+
+    def sq_to(p):
+        return squared_distances(pts, p[:, None, :])[..., 0]
+
+    p1 = pts[rows, np.argmax(sq_to(pts[:, 0]), axis=1)]
+    p2 = pts[rows, np.argmax(sq_to(p1), axis=1)]
+    center = (p1 + p2) / 2.0
+    return center, np.sqrt(sq_to(center).max(axis=1))
 
 
 def distance(a: Point, b: Point) -> float:
@@ -243,10 +284,10 @@ def save_csv(data: Dataset, path) -> None:
 class RunStats:
     """Per-run instrumentation surfaced in reports and scaling checks.
 
-    The stage times (whole-dataset tree build, canopy with its thresholds,
-    regions, map, reduce) together make up ``t_total``. ``t_thresholds`` is
-    the part of ``t_canopy`` spent estimating the canopy thresholds, 0 when
-    they were given.
+    The stage times (canopy with its thresholds, regions, map, reduce)
+    together make up ``t_total``. ``t_thresholds`` is the part of
+    ``t_canopy`` spent estimating the canopy thresholds, 0 when they were
+    given.
 
     The region summary gives the median (p50), 90th percentile (p90, numpy's
     linear interpolation) and maximum over the regions of their size, their
@@ -268,7 +309,6 @@ class RunStats:
     region_core_p50: float = 0.0
     region_core_p90: float = 0.0
     region_core_max: int = 0
-    t_tree: float = 0.0
     t_thresholds: float = 0.0
     t_canopy: float = 0.0
     t_regions: float = 0.0

@@ -3,9 +3,11 @@
 1. Canopy pre-clustering partitions the data with a cheap metric, taking
    each seed's candidates from a coordinate grid.
 2. Map: each canopy becomes a region (an inflated bounding sphere with its
-   own inferred scan radius), and every region is merged by the density
-   rule on its own. The regions are merged many at a time, in stacked array
-   passes; a region too large for one distance block is merged in row slabs.
+   own inferred scan radius, whose members come from range and nearest
+   queries on a second coordinate grid), and every region is merged by the
+   density rule on its own. The regions are merged many at a time, in stacked
+   array passes; a region too large for one distance block is merged in row
+   slabs.
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -31,7 +33,8 @@ from .core import (
     Dataset,
     RunStats,
     Sphere,
-    squared_distances,
+    paired_squared_distances,
+    stacked_bounding_sphere,
 )
 from .density import (
     DensityConfig,
@@ -41,7 +44,7 @@ from .density import (
     stacked_epsilon,
     stacked_merge,
 )
-from .sstree import SsTree, stacked_bounding_sphere
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,6 @@ class Region:
     m: int
 
 
-def _nearest_free(coords, center, free) -> list[tuple[int, float]]:
-    """(id, distance) of the points where ``free`` is set, nearest to
-    ``center`` first with ties by lower id: the order and the distance bits of
-    ``SsTree.knn``."""
-    cand = np.flatnonzero(free)
-    dist = np.sqrt(squared_distances(np.array([center]), coords[cand])[0])
-    order = np.lexsort((cand, dist))
-    return list(zip(cand[order].tolist(), dist[order].tolist()))
-
-
 def _ascending_members(sets):
     """Every set's ids in ascending order, one set after another, as one
     array; with the index of the set of each entry, and each set's size."""
@@ -117,11 +110,22 @@ def _canopy_estimates(coords, canopies, m, c):
     return eps, centers, radius
 
 
+def _region_side(coords, radii) -> float:
+    """The cell side of the region grid: the median positive region radius.
+    When every radius is 0 (canopies of repeated points), the widest span
+    over sqrt(n) stands in, so nearest queries start from a box that holds
+    some points; 1 when every point is the same."""
+    positive = radii[radii > 0]
+    if len(positive):
+        return float(np.median(positive))
+    return float(np.ptp(coords, axis=0).max()) / math.sqrt(len(coords)) or 1.0
+
+
 def build_regions(
     data: Dataset,
     canopies: list[Canopy],
     cfg: PipelineConfig,
-    tree: SsTree | None = None,
+    tree: object = None,
 ) -> list[Region]:
     """Turn canopies into regions.
 
@@ -139,78 +143,60 @@ def build_regions(
     left the smaller region is accepted.
 
     The scan radii and spheres come from stacked array passes (see
-    ``_canopy_estimates``). One ``SsTree.range_many`` walk finds the members
-    of every region, and the cap works on arrays of (point, region) pairs,
-    ordered by one lexsort on (point, squared distance to the region's
-    center, region id). Only the points over the cap are visited one by one,
-    in ascending id, because whether a region may still lose a point depends
-    on the drops before it.
+    ``_canopy_estimates``). A ``Grid`` with cells about a region radius wide
+    (see ``_region_side``) finds the members of every region in one chunked
+    pass, and the floor-th nearest point of every short region in one batched
+    query; each regrowth asks it for the nearest points with cap budget. The
+    cap works on arrays of (point, region) pairs, ordered by one lexsort on
+    (point, squared distance to the region's center, region id), but then
+    visits each point over the cap in a Python loop, in ascending id, because
+    whether a region may still lose a point depends on the drops before it.
+    On 10k 2-D blobs nearly every point is over the cap.
+
+    ``tree`` is accepted for older callers and not used.
     """
+    if not canopies:
+        return []
     n = len(data)
-    if tree is None:
-        tree = SsTree.build(data)
     coords = data.coords
     floor = min(cfg.m, n)
     z = len(canopies)
     eps, center_rows, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
-    centers = [tuple(row) for row in center_rows.tolist()]
-    radii = (radius + eps).tolist()
-    eps = eps.tolist()
-    ptr, pids = tree.range_many(center_rows, radii)
-    rids = np.repeat(np.arange(z, dtype=pids.dtype), np.diff(ptr))
-    short = np.flatnonzero(np.diff(ptr) < floor)
-    if len(short):
-        # Grow each short region to its floor-th nearest point, then find the
-        # members of all of them again.
-        for r in short.tolist():
-            radii[r] = max(radii[r], tree.knn(centers[r], floor)[-1][1])
-        grown_ptr, grown = tree.range_many(center_rows[short], np.take(radii, short))
-        kept = ~np.isin(rids, short)
-        pids = np.concatenate([pids[kept], grown])
-        rids = np.concatenate([rids[kept], np.repeat(short.astype(rids.dtype), np.diff(grown_ptr))])
+    radii = radius + eps
+    grid = Grid(coords, _region_side(coords, radii))
+    rids, pids = grid.within(center_rows, radii)
+    # Grow each short region to its floor-th nearest point, then find the
+    # members of all of them again.
+    short = np.flatnonzero(np.bincount(rids, minlength=z) < floor)
+    radii[short] = np.maximum(radii[short], grid.nearest(center_rows[short], floor)[1][:, -1])
+    grown, grown_pids = grid.within(center_rows[short], radii[short])
+    kept = ~np.isin(rids, short)
+    pids = np.concatenate([pids[kept], grown_pids])
+    rids = np.concatenate([rids[kept], short[grown]])
     cap = cfg.cap
     pids, rids = _apply_cap(coords, center_rows, pids, rids, cap, floor)
 
     by_region = np.argsort(rids, kind="stable")  # ascending point id within a region
     ends = np.cumsum(np.bincount(rids, minlength=z)).tolist()
     members = pids[by_region].tolist()
+    spheres = map(Sphere, map(tuple, center_rows.tolist()), radii.tolist())
     regions = [
-        Region(r, Sphere(centers[r], radii[r]), set(members[lo:hi]), eps[r], cfg.m)
-        for r, lo, hi in zip(range(z), [0, *ends], ends)
+        Region(r, sphere, set(members[lo:hi]), epsilon, cfg.m)
+        for r, sphere, lo, hi, epsilon in zip(range(z), spheres, [0, *ends], ends, eps.tolist())
     ]
 
     count = np.bincount(pids, minlength=n)
-    under = int(np.count_nonzero(count < cap))  # points that may join a region
     for r in regions:
         missing = floor - len(r.member_ids)
         if missing <= 0:
             continue
-        center = r.sphere.center
-        spare = under - sum(1 for pid in r.member_ids if count[pid] < cap)
-        k = floor
-        while missing > 0 and spare > 0:
-            if spare < k:
-                # Fewer points could join than the query would return: rank
-                # just those.
-                free = count < cap
-                free[list(r.member_ids)] = False
-                nearest = _nearest_free(coords, center, free)
-            else:
-                nearest = tree.knn(center, k)
-            for pid, d in nearest:
-                if missing == 0:
-                    break
-                if pid in r.member_ids or count[pid] >= cap:
-                    continue
-                r.member_ids.add(pid)
-                count[pid] += 1
-                if count[pid] == cap:
-                    under -= 1
-                if d > r.sphere.radius:
-                    r.sphere = Sphere(center, d)
-                missing -= 1
-                spare -= 1
-            k = min(n, k * 2)
+        free = count < cap
+        free[list(r.member_ids)] = False
+        [ids], [dist] = grid.nearest(center_rows[r.id, None], missing, free)
+        r.member_ids.update(ids.tolist())
+        count[ids] += 1
+        if len(ids) and dist[-1] > r.sphere.radius:
+            r.sphere = Sphere(r.sphere.center, float(dist[-1]))
     return regions
 
 
@@ -223,16 +209,7 @@ def _apply_cap(coords, centers, pid, rid, cap, floor):
     so coverage survives. A point's regions are distinct, so its own drops
     change none of its own floor tests.
     """
-    # Squared distance of each pair, summed one coordinate at a time in
-    # ascending order: the bits of squared_distances_to.
-    sq = np.zeros(len(pid))
-    term = np.empty(len(pid))
-    for j in range(coords.shape[1]):
-        np.subtract(coords[pid, j], centers[rid, j], out=term)
-        term *= term
-        sq += term
-    order = np.lexsort((rid, sq, pid))
-    del sq, term
+    order = np.lexsort((rid, paired_squared_distances(coords, pid, centers, rid), pid))
     pid, rid = pid[order], rid[order]
     # A point's pairs now run nearest first.
     per_point = np.bincount(pid, minlength=len(coords))
@@ -360,17 +337,13 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     if n == 0:
         return ClusterResult([], set(), RunStats())
     t0 = time.perf_counter()
-    tree = SsTree.build(data)
-    t_tree = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m)
     t_thresholds = 0.0 if cfg.canopy else time.perf_counter() - t0
     canopies = canopy_cluster(data, canopy_cfg)
     t_canopy = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    regions = build_regions(data, canopies, cfg, tree=tree)
+    regions = build_regions(data, canopies, cfg)
     t_regions = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -382,7 +355,6 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     st = result.stats
     st.t_reduce = time.perf_counter() - t0
     _summarise_regions(st, *per_region)
-    st.t_tree = t_tree
     st.t_thresholds = t_thresholds
     st.t_canopy = t_canopy
     st.t_regions = t_regions

@@ -1,14 +1,24 @@
+import ast
 import math
 import random
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dapclust import pipeline
-from dapclust.baselines import dbscan_reference
+from dapclust.baselines import dbscan_reference, knn_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from dapclust.core import NOISE, Dataset, squared_distances_to
+from dapclust.core import (
+    NOISE,
+    Dataset,
+    Sphere,
+    bounding_sphere,
+    squared_distances_to,
+    stacked_bounding_sphere,
+)
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
 from dapclust.density import (
     DensityConfig,
@@ -18,7 +28,8 @@ from dapclust.density import (
     stacked_epsilon,
 )
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
-from dapclust.sstree import SsTree, bounding_sphere, stacked_bounding_sphere
+from dapclust.grid import Grid
+from dapclust.sstree import SsTree
 from dapclust.unionfind import UnionFind
 
 
@@ -349,43 +360,108 @@ def test_regrowth_takes_nearest_points_with_cap_budget(monkeypatch):
     data = Dataset.from_coords(group + outliers)
     canopies = [Canopy(0, frozenset(range(6)))] * 3
     cfg = PipelineConfig(m=4, max_regions_per_point=2)
-    ranked = []
-    direct = pipeline._nearest_free
+    asked = []
+    direct = Grid.nearest
 
-    def spy(coords, center, free):
-        out = direct(coords, center, free)
-        ranked.append(out)
-        return out
+    def spy(self, centers, k, mask=None):
+        ids, dist = direct(self, centers, k, mask)
+        if mask is not None:
+            asked.append((np.flatnonzero(mask).tolist(), list(zip(ids[0].tolist(), dist[0].tolist()))))
+        return ids, dist
 
-    monkeypatch.setattr(pipeline, "_nearest_free", spy)
+    monkeypatch.setattr(Grid, "nearest", spy)
     regions = build_regions(data, canopies, cfg)
-    # The knn query of 8 would return more points than could join, so the
-    # four candidates are ranked directly, by distance and then by id.
-    assert ranked == [[(6, 5.0), (8, 5.0), (9, 5.0), (7, 6.0)]]
+    # The two nearest points with cap budget, ties by lower id.
+    assert asked == [([6, 7, 8, 9], [(6, 5.0), (8, 5.0)])]
     assert regions[2].member_ids == {2, 3, 6, 8}
     assert regions[2].sphere.radius == 5.0
 
 
-def test_regrowth_stops_when_no_point_has_cap_budget():
+def test_regrowth_stops_when_no_point_has_cap_budget(monkeypatch):
     # With a cap of 1 every covered point is full once the cap is applied, so
-    # regions left short stay short without asking for more neighbours.
+    # regions left short stay short without measuring more candidates.
     data, _ = make_blobs(300, 3, seed=29)
     cfg = PipelineConfig(m=4, max_regions_per_point=1)
     canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
-    tree = SsTree.build(data)
-    asked = []
+    log = []
+    direct_nearest, direct_boxes = Grid.nearest, Grid.boxes
 
-    class CountingTree:
-        range = tree.range
-        range_many = tree.range_many
+    def nearest(self, centers, k, mask=None):
+        log.append("floor" if mask is None else "regrow")
+        return direct_nearest(self, centers, k, mask)
 
-        def knn(self, q, k, include_self=True):
-            asked.append(k)
-            return tree.knn(q, k, include_self)
+    def boxes(self, centers, reach):
+        log.append("box")
+        return direct_boxes(self, centers, reach)
 
-    regions = build_regions(data, canopies, cfg, tree=CountingTree())
+    monkeypatch.setattr(Grid, "nearest", nearest)
+    monkeypatch.setattr(Grid, "boxes", boxes)
+    regions = build_regions(data, canopies, cfg)
     assert any(len(r.member_ids) < cfg.m for r in regions)
-    assert all(k == cfg.m for k in asked)  # only the pre-cap floor queries
+    assert "regrow" in log
+    assert set(log[log.index("regrow") :]) == {"regrow"}  # no box after the cap
+
+
+def test_regrowth_matches_knn_walk_oracle(monkeypatch):
+    # Regions left short by the cap regrow in region order, each from the
+    # nearest points (ties by lower id) that it does not hold and that still
+    # have cap budget. build_regions against that walk over knn_reference,
+    # started from its own regions with the regrowth switched off.
+    direct = Grid.nearest
+
+    def no_regrowth(self, centers, k, mask=None):
+        return direct(self, centers, k if mask is None else 0, mask)
+
+    # Points repeated at a few spots among scattered points: the regions at
+    # the spots lose points to the cap while scattered points keep budget.
+    grew = 0
+    for trial in range(12):
+        rng = np.random.default_rng(trial)
+        dim, m, cap = (2, 3)[trial % 2], 4, (2, 3, 4)[trial % 3]
+        spots = rng.normal(size=(6, dim)) * 3
+        X = np.concatenate([np.repeat(spots, rng.integers(5, 40, 6), axis=0), rng.normal(size=(150, dim)) * 3])
+        data = Dataset.from_coords(X)
+        cfg = PipelineConfig(m=m, max_regions_per_point=cap)
+        canopies = canopy_cluster(data, estimate_thresholds(data, m))
+        got = build_regions(data, canopies, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(Grid, "nearest", no_regrowth)
+            want = build_regions(data, canopies, cfg)
+        count = Counter(p for r in want for p in r.member_ids)
+        for r in want:
+            if len(r.member_ids) >= m:
+                continue
+            for pid, d in knn_reference(data, r.sphere.center, len(data)):
+                if len(r.member_ids) == m:
+                    break
+                if pid not in r.member_ids and count[pid] < cap:
+                    r.member_ids.add(pid)
+                    count[pid] += 1
+                    grew += 1
+                    r.sphere = Sphere(r.sphere.center, max(r.sphere.radius, d))
+        assert [(r.member_ids, r.sphere) for r in got] == [(r.member_ids, r.sphere) for r in want]
+    assert grew > 20
+
+
+def test_pipeline_builds_no_tree(monkeypatch):
+    # Regions take their members from a grid; the pipeline must not import
+    # or build an SS+tree again.
+    tree = ast.parse(Path(pipeline.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"sstree", "SsTree"}
+
+    def refuse(cls, data):
+        raise AssertionError("cluster built an SS+tree")
+
+    monkeypatch.setattr(SsTree, "build", classmethod(refuse))
+    data, _ = make_blobs(500, 3, seed=4)
+    assert cluster(data, PipelineConfig(m=4)).n_clusters > 0
 
 
 def scalar_estimates(rows, m, c):
@@ -458,6 +534,10 @@ def test_region_estimates_match_per_canopy_rule():
 
 @pytest.mark.parametrize("dim", [2, 8])
 def test_nearest_free_matches_knn_order_and_distances(dim):
+    # The grid's nearest query against the linear-scan knn, with and without
+    # a mask of free points, for a batch of centres at once. Cells from a
+    # thousandth of the spread to wider than it make the box double, widen
+    # or hold everything at once.
     rng = random.Random(dim)
     # Coordinates drawn mostly from three values: many points repeat, so
     # their distances tie.
@@ -466,12 +546,16 @@ def test_nearest_free_matches_knn_order_and_distances(dim):
         for _ in range(80)
     ]
     data = Dataset.from_coords(rows)
-    tree = SsTree.build(data)
     free = np.array([rng.random() < 0.5 for _ in range(80)])
-    for _ in range(10):
-        center = tuple(rng.gauss(0, 1) for _ in range(dim))
-        want = [(pid, d) for pid, d in tree.knn(center, 80) if free[pid]]
-        assert pipeline._nearest_free(data.coords, center, free) == want
+    centers = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(10)]
+    for side in (1e-3, 0.25, 10.0):
+        grid = Grid(data.coords, side)
+        for mask in (free, None):
+            for k in (1, 3, 80):
+                ids, dist = grid.nearest(np.array(centers), k, mask)
+                for center, row_ids, row_dist in zip(centers, ids, dist):
+                    want = [(p, d) for p, d in knn_reference(data, center, 80) if mask is None or mask[p]]
+                    assert list(zip(row_ids.tolist(), row_dist.tolist())) == want[:k]
 
 
 def test_threshold_time_is_part_of_canopy_time():
@@ -486,7 +570,7 @@ def test_threshold_time_is_part_of_canopy_time():
 def test_stage_times_sum_to_total(workers):
     data, _ = make_blobs(2000, 4, seed=31)
     st = cluster(data, PipelineConfig(m=3, worker_count=workers)).stats
-    staged = st.t_tree + st.t_canopy + st.t_regions + st.t_map + st.t_reduce
+    staged = st.t_canopy + st.t_regions + st.t_map + st.t_reduce
     assert 0.98 * st.t_total <= staged <= st.t_total
 
 

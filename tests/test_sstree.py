@@ -1,11 +1,10 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from dapclust.baselines import knn_reference
-from dapclust.core import Dataset, Point, distance_coords, squared_distances
+from dapclust.core import Dataset, Point, distance_coords
 from dapclust.sstree import FANOUT, LEAF_CAP, SsTree
 
 
@@ -131,52 +130,6 @@ def test_queries_match_oracles_at_high_dimension(dim):
         on_point = knn_reference(data, center, rng.randrange(1, 40))[-1][1]
         for radius in (on_point, rng.uniform(0, 4)):
             assert tree.range(center, radius) == range_oracle(data, center, radius)
-
-
-@pytest.mark.parametrize("dim", [2, 8, 16])
-def test_range_many_matches_range_and_oracle(dim):
-    # A third of the rows repeat, and some radii equal a point's kernel
-    # distance from the centre, so ties and the closed-ball boundary are hit.
-    rng = random.Random(100 + dim)
-    rows = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(300)]
-    rows += [rows[rng.randrange(300)] for _ in range(150)]
-    data = Dataset.from_coords(rows)
-    tree = SsTree.build(data)
-    centers, radii = [], []
-    for _ in range(120):
-        if rng.random() < 0.5:
-            center = rows[rng.randrange(len(rows))]
-        else:
-            center = tuple(rng.gauss(0, 1) for _ in range(dim))
-        dist = np.sqrt(squared_distances(np.array([center]), data.coords))[0]
-        on_point = float(dist[rng.randrange(len(rows))])
-        for radius in (on_point, rng.uniform(0, 2 * math.sqrt(dim)), 0.0):
-            centers.append(center)
-            radii.append(radius)
-    ptr, ids = tree.range_many(np.array(centers), radii)
-    assert ptr[0] == 0 and ptr[-1] == len(ids) and len(ptr) == len(radii) + 1
-    hits = 0
-    for i, (center, radius) in enumerate(zip(centers, radii)):
-        got = ids[ptr[i] : ptr[i + 1]].tolist()
-        assert got == tree.range(center, radius) == range_oracle(data, center, radius)
-        hits += len(got)
-    assert hits > len(radii)  # the balls are not all empty or single points
-
-
-def test_range_many_edge_cases():
-    tree = SsTree.build(Dataset.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]))
-    ptr, ids = tree.range_many(np.zeros((0, 2)), [])
-    assert ptr.tolist() == [0] and ids.tolist() == []
-    ptr, ids = tree.range_many([(0.0, 0.0), (5.0, 5.0), (0.0, 0.0)], [0.0, 1.0, float("inf")])
-    assert ptr.tolist() == [0, 2, 2, 5]
-    assert ids.tolist() == [0, 2, 0, 1, 2]
-    empty = SsTree.build(Dataset([], dim=2))
-    ptr, ids = empty.range_many([(0.0, 0.0)], [1e9])
-    assert ptr.tolist() == [0, 0] and ids.tolist() == []
-    with pytest.raises(ValueError):
-        tree.range_many([(0.0, 0.0)], [-1.0])
-    with pytest.raises(ValueError):
-        tree.range_many([(0.0, 0.0, 0.0)], [1.0])
 
 
 def test_structural_invariants():
