@@ -7,8 +7,9 @@ and a DBSCAN-style density merge whose per-region results fold, by label
 propagation, deterministically into a global partition. Coordinate grids
 answer the pipeline's neighbour queries, and regions of every size are
 merged from stacked distance blocks. A naive m-nearest-neighbour clusterer
-over an SS+tree index and k-means / quadratic-DBSCAN baselines are included
-for comparison.
+on the same grid and label propagation, and k-means / quadratic-DBSCAN
+baselines, are included for comparison. The SS+tree index is still exported
+for the benchmark trace; no clusterer uses it.
 """
 
 from .baselines import KMeansConfig, dbscan_reference, kmeans, knn_reference
@@ -30,7 +31,6 @@ from .metrics import adjusted_rand_index
 from .naive import NaiveConfig, naive_cluster
 from .pipeline import PipelineConfig, Region, build_regions, cluster, map_step, reduce_merge
 from .sstree import FANOUT, LEAF_CAP, SsNode, SsTree
-from .unionfind import UnionFind
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "Sphere",
     "SsNode",
     "SsTree",
-    "UnionFind",
     "adjusted_rand_index",
     "build_regions",
     "canopy_cluster",

@@ -2,7 +2,7 @@
 
 Everything here is deliberately simple and shares no query or merge code with
 the indexed implementations it checks: the quadratic DBSCAN resolves
-connectivity with a breadth-first walk instead of a union-find, and the knn
+connectivity with a breadth-first walk instead of label propagation, and the knn
 oracle carries its own coordinate loop.
 """
 

@@ -293,10 +293,11 @@ class RunStats:
     linear interpolation) and maximum over the regions of their size, their
     scan radius epsilon and their core point count.
 
-    ``uf_ops`` and ``uf_hops`` count a union-find's operations and its
-    parent-pointer hops. The pipeline's reduce folds its links by label
-    propagation instead: ``uf_ops`` is then the number of links folded, one
-    per clustered (region, point) membership, and ``uf_hops`` is 0.
+    ``uf_ops`` is the number of links folded by the final label
+    propagation: one per clustered (region, point) membership in the
+    pipeline's reduce, and m per point (fewer when m >= n) in
+    ``naive_cluster``. ``uf_hops`` is always 0; it dates from a union-find
+    that no clusterer uses any more, and the benchmark still reads it.
     """
 
     region_count: int = 0

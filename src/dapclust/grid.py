@@ -108,7 +108,8 @@ class Grid:
         """The k points nearest to each centre among those where ``mask`` is
         set (all points without one; fewer when fewer are set), as (q, k)
         arrays of ids and distances, each row ascending by distance with ties
-        by lower id: the order and the distance bits of ``SsTree.knn``.
+        by lower id: the order and the distance bits of the linear scan
+        ``baselines.knn_reference``.
 
         Each query's box starts one cell side wide. It doubles while it holds
         fewer than k candidates, and widens to its k-th candidate distance

@@ -5,9 +5,10 @@ White & Jain's SS-tree (ICDE 1996): a group of points is cut at the median of
 its highest-variance coordinate. Oversized groups are re-split largest-first
 until the fanout limit is filled.
 
-``knn`` and ``range`` walk the tree once per query in plain Python. The tree
-is the exact index of ``naive_cluster`` and of the index oracle checks; the
-pipeline's own queries go to ``grid.Grid``.
+``knn`` and ``range`` walk the tree once per query in plain Python. No
+clusterer uses the tree: their queries go to ``grid.Grid``. Only the
+benchmark under ``bench/`` builds and wraps it, and the module goes once
+the benchmark no longer does (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -34,17 +35,15 @@ class SsNode:
 
     A leaf holds its points' ``ids`` and coordinate ``rows`` (plain-float
     lists); an internal node holds its ``children`` and their ``centers``,
-    so a query measures a whole node with one distance call. The points
-    beneath any node are the positions ``lo`` to ``lo + count`` of the tree's
-    ``ids`` list, so a whole subtree's ids are one slice.
+    so a query measures a whole node with one distance call. ``count`` is
+    the number of points beneath the node.
     """
 
-    __slots__ = ("center", "radius", "children", "centers", "ids", "rows", "count", "lo")
+    __slots__ = ("center", "radius", "children", "centers", "ids", "rows", "count")
 
-    def __init__(self, center, radius, lo, children=None, ids=None, rows=None):
+    def __init__(self, center, radius, children=None, ids=None, rows=None):
         self.center = center
         self.radius = radius
-        self.lo = lo
         self.children = children
         self.ids = ids
         self.rows = rows
@@ -70,24 +69,20 @@ def _split(coords, pos):
     return srt[:half], srt[half:]
 
 
-def _build_node(coords, pos, order):
+def _build_node(coords, pos):
     """The subtree over the rows ``pos`` of ``coords``; a row's position is
-    its point id. Leaf ids are appended to ``order`` as leaves are made, so
-    every subtree's ids are one run of it, starting at the node's ``lo``."""
-    lo = len(order)
+    its point id."""
     center, radius = bounding_sphere(coords[pos])
     if len(pos) <= LEAF_CAP:
-        ids = pos.tolist()
-        order.extend(ids)
-        return SsNode(center, radius, lo, ids=ids, rows=coords[pos].tolist())
+        return SsNode(center, radius, ids=pos.tolist(), rows=coords[pos].tolist())
     groups = [pos]
     while len(groups) < FANOUT:
         largest = max(range(len(groups)), key=lambda g: len(groups[g]))
         if len(groups[largest]) <= LEAF_CAP:
             break
         groups[largest : largest + 1] = _split(coords, groups[largest])
-    children = [_build_node(coords, g, order) for g in groups]
-    return SsNode(center, radius, lo, children=children)
+    children = [_build_node(coords, g) for g in groups]
+    return SsNode(center, radius, children=children)
 
 
 def _query_coords(q):
@@ -97,26 +92,19 @@ def _query_coords(q):
 
 
 class SsTree:
-    """Immutable spatial index over a set of points.
+    """Immutable spatial index over a set of points."""
 
-    ``ids`` lists the point ids leaf by leaf, in the order the leaves were
-    built, so the points beneath any node are one slice of it (see
-    ``SsNode``).
-    """
-
-    def __init__(self, root, dim, order):
+    def __init__(self, root, dim, size):
         self.root = root
         self.dim = dim
-        self.size = len(order)
-        self.ids = order
+        self.size = size
 
     @classmethod
     def build(cls, data: Dataset) -> "SsTree":
         """Index every point of ``data``, by its id (row number);
         deterministic."""
-        order: list[int] = []
-        root = _build_node(data.coords, np.arange(len(data)), order) if len(data) else None
-        return cls(root, data.dim, order)
+        root = _build_node(data.coords, np.arange(len(data))) if len(data) else None
+        return cls(root, data.dim, len(data))
 
     def knn(self, q, m: int, include_self: bool = True) -> list[tuple[int, float]]:
         """The m indexed points nearest to q (fewer if the tree holds fewer),
@@ -184,14 +172,7 @@ class SsTree:
                         out.append(pid)
                 continue
             for child, s in zip(node.children, squared_distances_to(qc, node.centers)):
-                d = sqrt(s)
-                if d > radius + child.radius + _SLACK:
-                    continue  # no point beneath can qualify
-                if d + child.radius <= radius - _SLACK:
-                    # Whole subtree safely inside even after float error, so
-                    # the per-point test can be skipped.
-                    out.extend(self.ids[child.lo : child.lo + child.count])
-                else:
+                if sqrt(s) <= radius + child.radius + _SLACK:  # else no point beneath qualifies
                     stack.append(child)
         out.sort()
         return out

@@ -7,17 +7,21 @@ import random
 import statistics
 import time
 
+import numpy as np
+from test_grid import range_oracle
+
+from dapclust import density
 from dapclust.baselines import dbscan_reference, knn_reference
 from dapclust.canopy import canopy_cluster, estimate_thresholds
 from dapclust.cli import epsilon_grid_report, save_labels
-from dapclust.core import NOISE, Dataset, Point, distance_coords
+from dapclust.core import NOISE, Dataset, distance_coords
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
 from dapclust.density import DensityConfig, density_cluster, estimate_epsilon
+from dapclust.grid import Grid
 from dapclust.metrics import adjusted_rand_index
 from dapclust.naive import NaiveConfig, naive_cluster
 from dapclust.pipeline import PipelineConfig, build_regions, cluster
 from dapclust.sstree import SsTree
-from dapclust.unionfind import UnionFind
 
 
 def report(num, name):
@@ -30,39 +34,40 @@ def random_dataset(rng, n, dim, span=100.0):
     )
 
 
-def range_oracle(rows, center, radius):
-    """Ids of the plain-float ``rows`` within ``radius`` of ``center``."""
-    out = []
-    for pid, row in enumerate(rows):
-        s = 0.0
-        for x, y in zip(center, row):
-            s += (x - y) ** 2
-        if math.sqrt(s) <= radius:
-            out.append(pid)
-    return out
-
-
 def index_sweep(rng, dims, sets, max_n, max_radius):
+    """Batched nearest and range queries on a grid of each random set, with
+    cells as wide as its mean distance to the third nearest point, against
+    linear scans. Half of the nearest queries count only the points of a
+    random mask."""
     for _ in range(sets):
         dim = rng.choice(dims)
         n = rng.randrange(1, max_n + 1)
         data = random_dataset(rng, n, dim)
-        tree = SsTree.build(data)
-        rows = data.coords.tolist()
+        grid = Grid(data.coords, estimate_thresholds(data, 3).t2)
+        free = np.array([rng.random() < 0.5 for _ in range(n)])
+        batches = {}
         for _ in range(50):
-            if rng.random() < 0.5 and n:
-                q = data[rng.randrange(n)]
+            if rng.random() < 0.5:
+                center = data[rng.randrange(n)].coords
             else:
-                q = Point(0, tuple(rng.uniform(-100, 100) for _ in range(dim)))
+                center = tuple(rng.uniform(-100, 100) for _ in range(dim))
             m = rng.choice([1, 3, 5])
-            include = rng.random() < 0.5
-            got = tree.knn(q, m, include_self=include)
-            want = knn_reference(data, q, m, include_self=include)
-            assert got == want  # ids, order, and exact distances
+            masked = rng.random() < 0.5
+            batches.setdefault((m, masked), []).append(center)
+        for (m, masked), centers in batches.items():
+            mask = free if masked else None
+            ids, dist = grid.nearest(np.array(centers), m, mask)
+            for center, row_ids, row_dist in zip(centers, ids, dist):
+                want = [(p, d) for p, d in knn_reference(data, center, n) if mask is None or mask[p]]
+                # ids, order, and exact distances
+                assert list(zip(row_ids.tolist(), row_dist.tolist())) == want[:m]
+        centers, radii = [], []
         for _ in range(50):
-            center = tuple(rng.uniform(-100, 100) for _ in range(dim))
-            radius = rng.uniform(0, max_radius(dim))
-            assert tree.range(center, radius) == range_oracle(rows, center, radius)
+            centers.append(tuple(rng.uniform(-100, 100) for _ in range(dim)))
+            radii.append(rng.uniform(0, max_radius(dim)))
+        query, ids = grid.within(np.array(centers), np.array(radii))
+        for i, (center, radius) in enumerate(zip(centers, radii)):
+            assert sorted(ids[query == i].tolist()) == range_oracle(data, center, radius)
 
 
 def test_criterion_1_spatial_index_oracle_equivalence():
@@ -70,7 +75,7 @@ def test_criterion_1_spatial_index_oracle_equivalence():
     # From d = 8 on, numpy's row sums no longer add in coordinate order.
     # Random points drift apart as sqrt(dim), and so do the radii here.
     index_sweep(random.Random(1008), [8, 16], 30, 300, lambda dim: 75 * math.sqrt(dim))
-    report(1, "spatial index matches brute-force oracle exactly")
+    report(1, "grid range and nearest queries match brute-force oracles exactly")
 
 
 def density_sweep(rng, dims, sets):
@@ -93,6 +98,9 @@ def test_criterion_2_density_step_oracle_equivalence():
 
 
 class LabelOracle:
+    """Disjoint sets by relabelling: a union gives every member of the set
+    with the higher label the lower one, so each set's label is its minimum."""
+
     def __init__(self, n):
         self.labels = list(range(n))
 
@@ -113,27 +121,48 @@ class LabelOracle:
         return sorted(groups.values(), key=lambda g: g[0])
 
 
-def test_criterion_3_union_find_oracle_and_cost():
+def test_criterion_3_union_find_oracle_and_cost(monkeypatch):
     rng = random.Random(3003)
     n = 400
-    uf = UnionFind(n)
+    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(10_000)]
     oracle = LabelOracle(n)
-    for _ in range(10_000):
-        x, y = rng.randrange(n), rng.randrange(n)
-        uf.union(x, y)
+    for x, y in links:
         oracle.union(x, y)
-    assert uf.components() == oracle.partition()
+    heads, tails = np.array(links).T
+    # Both label each set by its minimum, so equal labels are equal partitions.
+    assert density._lowest_linked(np.arange(n), heads, tails).tolist() == oracle.labels
 
+    # The propagation's rounds, counted at the exit test each round makes,
+    # which fails as soon as they pass the bound.
+    count = {"rounds": 0, "bound": 0}
+    array_equal = np.array_equal
+
+    def exit_test(a, b):
+        count["rounds"] += 1
+        assert count["rounds"] <= count["bound"], count
+        return array_equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", exit_test)
+
+    def count_rounds(size, heads, tails, bound):
+        count.update(rounds=0, bound=bound)
+        labels = density._lowest_linked(np.arange(size), heads, tails)
+        assert (labels[heads] == labels[tails]).all() and (labels[labels] == labels).all()
+        return labels, count["rounds"]
+
+    gen = np.random.default_rng(3003)
     big = 1_000_000
-    uf = UnionFind(big)
-    for _ in range(2_000_000):
-        if rng.random() < 0.6:
-            uf.union(rng.randrange(big), rng.randrange(big))
-        else:
-            uf.find(rng.randrange(big))
-    per_op = uf.hop_count / uf.op_count
-    assert per_op <= 5.0, per_op
-    report(3, f"union-find matches oracle; {per_op:.2f} parent hops per op <= 5")
+    links = gen.integers(0, big, size=(1_200_000, 2))
+    _, random_rounds = count_rounds(big, links[:, 0], links[:, 1], math.log2(big))
+    size = 1 << 20
+    chain = gen.permutation(size)  # a path through every node, in random id order
+    labels, chain_rounds = count_rounds(size, chain[:-1], chain[1:], 1.5 * math.log2(size))
+    assert not labels.any()
+    report(
+        3,
+        f"label propagation matches oracle; {random_rounds} rounds on a random 1M-node graph, "
+        f"{chain_rounds} on a 2^20-node chain",
+    )
 
 
 def test_criterion_4_determinism_under_parallelism(tmp_path):

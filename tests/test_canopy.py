@@ -1,11 +1,10 @@
-import ast
 import inspect
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
+from test_imports import imported_names
 
 import dapclust.canopy as canopy
 from dapclust.baselines import knn_reference
@@ -263,13 +262,5 @@ def test_sweep_bounds_are_inclusive(dim):
 def test_canopy_sweep_uses_no_tree():
     # The sweep takes its candidates from a grid; an SS+tree query per seed
     # must not come back.
-    tree = ast.parse(Path(canopy.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {"sstree", "SsTree"}
+    assert not imported_names(canopy.__file__) & {"sstree", "SsTree"}
     assert "tree" not in inspect.signature(canopy_cluster).parameters

@@ -1,10 +1,9 @@
-import ast
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
+from test_imports import imported_names
 
 import dapclust.core as core
 import dapclust.density as density
@@ -386,12 +385,4 @@ def test_stacked_merge_matches_one_partition_at_a_time(monkeypatch):
 def test_density_step_has_one_route():
     # The merge and the estimator run as array passes at every partition
     # size; a per-point SS+tree or union-find route must not come back.
-    tree = ast.parse(Path(density.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {"sstree", "unionfind", "SsTree", "UnionFind"}
+    assert not imported_names(density.__file__) & {"sstree", "unionfind", "SsTree", "UnionFind"}

@@ -3,10 +3,22 @@ import random
 
 import numpy as np
 import pytest
-from test_sstree import range_oracle
 
 from dapclust.core import Dataset, squared_distances
 from dapclust.grid import Grid
+
+
+def range_oracle(data, center, radius):
+    """Ids of the points of ``data`` within ``radius`` of ``center``, by a
+    scalar sum of squares in coordinate order."""
+    out = []
+    for pid, row in enumerate(data.coords.tolist()):
+        s = 0.0
+        for x, y in zip(center, row):
+            s += (x - y) ** 2
+        if math.sqrt(s) <= radius:
+            out.append(pid)
+    return out
 
 
 def within_by_query(grid, centers, radii):

@@ -107,3 +107,26 @@ def test_matches_brute_force_oracle():
         data = Dataset.from_coords(coords)
         m = rng.choice([1, 2, 4])
         assert naive_cluster(data, NaiveConfig(m)).labels == brute_naive(coords, m)
+    # d = 8; three rows repeated, 120 to 160 times in all, in shuffled id
+    # order, so that more than m copies with lower ids can push a row's own
+    # id out of its nearest m + 1; and m >= n.
+    pushed_out = 0
+    for dim, n, copies, m in [
+        (8, 250, 0, 3),
+        (8, 120, 120, 2),
+        (2, 80, 160, 1),
+        (3, 60, 150, 4),
+        (2, 12, 6, 20),
+        (8, 5, 4, 9),
+    ]:
+        coords = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(n)]
+        spots = coords[:3]
+        coords += [rng.choice(spots) for _ in range(copies)]
+        rng.shuffle(coords)
+        seen = {}
+        for row in coords:
+            pushed_out += seen.get(row, 0) > m
+            seen[row] = seen.get(row, 0) + 1
+        data = Dataset.from_coords(coords)
+        assert naive_cluster(data, NaiveConfig(m)).labels == brute_naive(coords, m)
+    assert pushed_out > 100

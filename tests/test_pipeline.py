@@ -1,14 +1,14 @@
-import ast
 import math
 import random
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_acceptance import LabelOracle
+from test_imports import imported_names
 
-from dapclust import pipeline
+from dapclust import naive, pipeline
 from dapclust.baselines import dbscan_reference, knn_reference
 from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import (
@@ -27,10 +27,10 @@ from dapclust.density import (
     estimate_epsilon,
     stacked_epsilon,
 )
+from dapclust.naive import NaiveConfig, naive_cluster
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
 from dapclust.grid import Grid
 from dapclust.sstree import SsTree
-from dapclust.unionfind import UnionFind
 
 
 def test_config_validation():
@@ -444,24 +444,18 @@ def test_regrowth_matches_knn_walk_oracle(monkeypatch):
 
 
 def test_pipeline_builds_no_tree(monkeypatch):
-    # Regions take their members from a grid; the pipeline must not import
-    # or build an SS+tree again.
-    tree = ast.parse(Path(pipeline.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {"sstree", "SsTree"}
+    # Regions and the naive clusterer's neighbours come from a grid; neither
+    # may import or build an SS+tree again.
+    assert not imported_names(pipeline.__file__) & {"sstree", "SsTree"}
+    assert not imported_names(naive.__file__) & {"sstree", "SsTree"}
 
     def refuse(cls, data):
-        raise AssertionError("cluster built an SS+tree")
+        raise AssertionError("an SS+tree was built")
 
     monkeypatch.setattr(SsTree, "build", classmethod(refuse))
     data, _ = make_blobs(500, 3, seed=4)
     assert cluster(data, PipelineConfig(m=4)).n_clusters > 0
+    assert naive_cluster(data, NaiveConfig(3)).n_clusters > 0
 
 
 def scalar_estimates(rows, m, c):
@@ -614,6 +608,8 @@ def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
 
 
 def test_sparse_fold_matches_union_find():
+    # Against the label-relabelling disjoint sets of criterion 3, whose
+    # labels are each set's minimum.
     rng = np.random.default_rng(17)
     cases = [
         (int(n), rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)))
@@ -622,23 +618,23 @@ def test_sparse_fold_matches_union_find():
     order = rng.permutation(1024)
     cases.append((1030, np.stack([order[:-1], order[1:]], axis=1)))  # a chain in random id order
     for n, links in cases:
-        uf = UnionFind(n)
+        oracle = LabelOracle(n)
         for a, b in links.tolist():
-            uf.union(a, b)
+            oracle.union(a, b)
         got = _lowest_linked(np.arange(n), links[:, 0], links[:, 1])
-        assert got.tolist() == uf.labels()
+        assert got.tolist() == oracle.labels
         # The same links folded in chunks, each fold starting from the last.
         lab = np.arange(n)
         for chunk in np.array_split(links, 5):
             lab = _lowest_linked(lab, chunk[:, 0], chunk[:, 1])
-        assert lab.tolist() == uf.labels()
+        assert lab.tolist() == oracle.labels
     # Start labels that join 7 to 2: the fold must keep that link while the
     # new links join 7 to 1 and 2 to 0, or it settles at 7 -> 1 and 2 -> 0.
-    uf = UnionFind(8)
+    oracle = LabelOracle(8)
     for a, b in [(7, 2), (7, 1), (2, 0)]:
-        uf.union(a, b)
+        oracle.union(a, b)
     got = _lowest_linked(np.array([0, 1, 2, 3, 4, 5, 6, 2]), np.array([7, 2]), np.array([1, 0]))
-    assert got.tolist() == uf.labels() == [0, 0, 0, 3, 4, 5, 6, 0]
+    assert got.tolist() == oracle.labels == [0, 0, 0, 3, 4, 5, 6, 0]
 
 
 def test_region_summary_on_two_lines():

@@ -1,7 +1,7 @@
-import math
 import random
 
 import pytest
+from test_grid import range_oracle
 
 from dapclust.baselines import knn_reference
 from dapclust.core import Dataset, Point, distance_coords
@@ -12,17 +12,6 @@ def random_dataset(rng, n, dim, span=100.0):
     return Dataset.from_coords(
         [tuple(rng.uniform(-span, span) for _ in range(dim)) for _ in range(n)]
     )
-
-
-def range_oracle(data, center, radius):
-    out = []
-    for pid, row in enumerate(data.coords.tolist()):
-        s = 0.0
-        for x, y in zip(center, row):
-            s += (x - y) ** 2
-        if math.sqrt(s) <= radius:
-            out.append(pid)
-    return out
 
 
 def test_build_empty():

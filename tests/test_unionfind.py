@@ -1,147 +1,78 @@
-import math
+"""Disjoint-set checks of ``density._lowest_linked``, the label propagation
+that links points into sets for every clusterer: the lowest node of each
+node's set, for the nodes 0..n-1 and the given links."""
+
 import random
 
+import numpy as np
 import pytest
+from test_acceptance import LabelOracle
 
-from dapclust.unionfind import UnionFind
+from dapclust.density import _lowest_linked
 
 
-class LabelOracle:
-    """Naive label-propagation disjoint sets: union relabels the whole array."""
+def linked(n, links=()):
+    links = np.array(links, dtype=np.intp).reshape(-1, 2)
+    return _lowest_linked(np.arange(n), links[:, 0], links[:, 1]).tolist()
 
-    def __init__(self, n):
-        self.labels = list(range(n))
 
-    def union(self, x, y):
-        lx, ly = self.labels[x], self.labels[y]
-        if lx == ly:
-            return
-        if ly < lx:
-            lx, ly = ly, lx
-        for i, l in enumerate(self.labels):
-            if l == ly:
-                self.labels[i] = lx
-
-    def partition(self):
-        groups = {}
-        for i, l in enumerate(self.labels):
-            groups.setdefault(l, []).append(i)
-        return sorted(groups.values(), key=lambda g: g[0])
+def components(labels):
+    groups = {}
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def test_new_singletons():
-    uf = UnionFind(5)
-    assert [uf.find(i) for i in range(5)] == list(range(5))
-    assert uf.num_sets() == 5
+    assert linked(5) == list(range(5))
 
 
 def test_new_empty():
-    uf = UnionFind(0)
-    assert uf.num_sets() == 0
-    assert uf.components() == []
+    assert linked(0) == []
 
 
 def test_find_out_of_range():
-    uf = UnionFind(3)
     with pytest.raises(IndexError):
-        uf.find(3)
+        linked(3, [(0, 3)])
     with pytest.raises(IndexError):
-        uf.find(-1)
+        linked(3, [(3, 0)])
 
 
 def test_union_joins():
-    uf = UnionFind(4)
-    uf.union(0, 1)
-    assert uf.find(0) == uf.find(1)
-    assert uf.num_sets() == 3
+    labels = linked(4, [(0, 1)])
+    assert labels[0] == labels[1]
+    assert len(set(labels)) == 3
 
 
 def test_union_self_noop():
-    uf = UnionFind(4)
-    uf.union(2, 2)
-    assert uf.num_sets() == 4
+    assert linked(4, [(2, 2)]) == [0, 1, 2, 3]
 
 
 def test_union_chain():
-    uf = UnionFind(4)
-    uf.union(0, 1)
-    uf.union(1, 2)
-    uf.union(2, 3)
-    assert uf.num_sets() == 1
-    assert len({uf.find(i) for i in range(4)}) == 1
+    assert linked(4, [(0, 1), (1, 2), (2, 3)]) == [0, 0, 0, 0]
 
 
 def test_components_fresh():
-    assert UnionFind(3).components() == [[0], [1], [2]]
+    assert components(linked(3)) == [[0], [1], [2]]
 
 
 def test_components_after_union():
-    uf = UnionFind(3)
-    uf.union(0, 2)
-    assert uf.components() == [[0, 2], [1]]
+    assert components(linked(3, [(0, 2)])) == [[0, 2], [1]]
 
 
 def test_random_sequence_matches_label_oracle():
     rng = random.Random(5)
     n = 300
-    uf = UnionFind(n)
+    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(10_000)]
     oracle = LabelOracle(n)
-    for _ in range(10_000):
-        x, y = rng.randrange(n), rng.randrange(n)
-        uf.union(x, y)
+    for x, y in links:
         oracle.union(x, y)
-    assert uf.components() == oracle.partition()
+    labels = linked(n, links)
+    assert components(labels) == oracle.partition()
     # partition validity: disjoint cover of 0..n-1
-    seen = [i for group in uf.components() for i in group]
+    seen = [i for group in components(labels) for i in group]
     assert sorted(seen) == list(range(n))
 
 
 def test_labels_are_set_minimums():
-    uf = UnionFind(6)
-    uf.union(5, 3)
-    uf.union(3, 4)
-    labels = uf.labels()
-    assert labels == [0, 1, 2, 3, 3, 3]
-
-
-def test_rank_bounds_height():
-    rng = random.Random(11)
-    n = 1 << 12
-    uf = UnionFind(n)
-    for _ in range(5 * n):
-        uf.union(rng.randrange(n), rng.randrange(n))
-    assert max(uf.rank) <= math.log2(n) + 1
-
-
-def test_amortized_hops_small():
-    rng = random.Random(3)
-    n = 100_000
-    uf = UnionFind(n)
-    for _ in range(2 * n):
-        if rng.random() < 0.6:
-            uf.union(rng.randrange(n), rng.randrange(n))
-        else:
-            uf.find(rng.randrange(n))
-    assert uf.op_count > 0
-    assert uf.hop_count / uf.op_count <= 5.0
-
-
-def test_million_element_construction_smoke():
-    import time
-
-    def build_time(n):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            UnionFind(n)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    small = build_time(200_000)
-    big = build_time(1_000_000)
-    # linear construction: 5x the elements should cost nowhere near 25x
-    assert big <= 25 * small + 0.05
-    uf = UnionFind(1_000_000)
-    assert uf.find(999_999) == 999_999
-    uf.union(0, 999_999)
-    assert uf.find(999_999) == 0
+    assert linked(6, [(5, 3), (3, 4)]) == [0, 1, 2, 3, 3, 3]
