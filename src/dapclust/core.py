@@ -1,4 +1,5 @@
-"""Geometric primitives, the dataset container, and CSV I/O."""
+"""Geometric primitives, the sorts of pair arrays, the dataset container,
+and CSV I/O."""
 
 from __future__ import annotations
 
@@ -99,6 +100,38 @@ def paired_squared_distances(a: np.ndarray, ia, b: np.ndarray, ib) -> np.ndarray
         np.multiply(diff, diff, out=diff)
         out += diff
     return out
+
+
+def pair_order(group: np.ndarray, value: np.ndarray, ids: np.ndarray, id_bound: int) -> np.ndarray:
+    """The permutation ``np.lexsort((ids, value, group))``: pairs by group,
+    then value, then id, for non-negative groups and ids below ``id_bound``,
+    with no two pairs of the same (group, id).
+
+    One default argsort puts the pairs in value order; the runs of equal
+    values are then sorted by (value rank, id), which leaves the pairs by
+    (value, id). Each pair's position in that order, plus its group * len,
+    makes a unique int64 key below the number of pairs times the largest
+    group, and one sort of the keys gives the permutation. Pairs of equal
+    (value, id) are of different groups, so the order that the sorts give
+    them cannot show in the result.
+    """
+    n = len(value)
+    order = np.argsort(value)
+    ascending = value[order]
+    del value
+    new = np.ones(n, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+    del ascending
+    tied = ~new
+    tied[:-1] |= ~new[1:]  # the first of each run too
+    at = np.flatnonzero(tied)
+    ties = order[at]
+    order[at] = ties[np.argsort(np.cumsum(new)[at] * id_bound + ids[ties])]
+    key = group[order] * n
+    key += np.arange(n)
+    key.sort()
+    key %= n
+    return order[key]
 
 
 def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, paired_squared_distances
+from .core import _BLOCK_ENTRIES, pair_order, paired_squared_distances
 
 
 class Grid:
@@ -20,9 +20,9 @@ class Grid:
 
     On each grid coordinate the side is raised to span * 2**-40 where that is
     larger, which keeps every cell number exact in float64 and inside int64.
-    ``order`` holds the point ids sorted by cell. Cell rows and columns are
-    keyed by their rank among the occupied ones, so a far outlier adds no
-    empty cells.
+    ``order`` holds the point ids sorted by cell, ties by id. Cell rows and
+    columns are keyed by their rank among the occupied ones, so a far
+    outlier adds no empty cells.
     """
 
     def __init__(self, coords: np.ndarray, side: float):
@@ -40,13 +40,49 @@ class Grid:
         cells[:, : len(self.axes)] = self._cell(pos)
         self.xs, rx = np.unique(cells[:, 0], return_inverse=True)
         self.ys, ry = np.unique(cells[:, 1], return_inverse=True)
-        key = rx.ravel() * len(self.ys) + ry.ravel()
-        self.order = np.argsort(key, kind="stable")
-        self.key = key[self.order]
+        rx, ry = rx.ravel(), ry.ravel()
+        self.order = pair_order(rx, ry, np.arange(len(coords)), len(coords))
+        self.key = (rx * len(self.ys) + ry)[self.order]
 
     def _cell(self, pos) -> np.ndarray:
         # The clip keeps infinite and far positions inside int64.
         return np.clip(np.floor(pos), -1, 2**41).astype(np.int64)
+
+    def _box(self, centers: np.ndarray, reach):
+        """Each centre's position on the grid coordinates, in cells, and the
+        low and high cells of its box (see ``boxes``), as (q, 2) arrays."""
+        pos = np.zeros((len(centers), 2))
+        pad = np.zeros((len(centers), 2))
+        for col, (a, s) in enumerate(zip(self.axes.tolist(), self.sides.tolist())):
+            pos[:, col] = (centers[:, a] - self.lo[a]) / s
+            pad[:, col] = np.asarray(reach) * (1 + 2**-20) / s + 2**-8
+        return pos, self._cell(pos - pad), self._cell(pos + pad)
+
+    def _next_line(self, centers: np.ndarray, reach: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """The least reach at which each centre's box, which holds ``held``
+        points, may take in one more; inf where none is left.
+
+        A new point lies either in an occupied cell row past the box (on the
+        first grid coordinate), or in one of the box's rows and an occupied
+        column past the box, which can only happen while those rows hold
+        more points than the box. So the box must reach the nearest such row
+        or column on either side.
+        """
+        pos, lo, hi = self._box(centers, reach)
+        ny = len(self.ys)
+        first = np.searchsorted(self.xs, lo[:, 0])
+        last = np.searchsorted(self.xs, hi[:, 0], side="right")
+        in_rows = np.searchsorted(self.key, last * ny) - np.searchsorted(self.key, first * ny)
+        out = np.full(len(centers), np.inf)
+        for col, (lines, s) in enumerate(zip((self.xs, self.ys), self.sides.tolist())):
+            padded = np.concatenate([[-np.inf], lines, [np.inf]])
+            down = pos[:, col] - 1 - padded[np.searchsorted(lines, lo[:, col])]
+            up = padded[np.searchsorted(lines, hi[:, col], side="right") + 1] - pos[:, col]
+            step = np.fmin(down, up) * s
+            if col:
+                step[in_rows == held] = np.inf
+            out = np.fmin(out, step)
+        return out
 
     def boxes(self, centers: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row slices of each query's box, centre +- reach on the grid
@@ -60,13 +96,7 @@ class Grid:
         arithmetic (2**-8 of a cell) for centres near the points.
         """
         q = len(centers)
-        edges = np.zeros((2, q, 2))  # (low, high) cell edge per query and column
-        for col, (a, s) in enumerate(zip(self.axes.tolist(), self.sides.tolist())):
-            pos = (centers[:, a] - self.lo[a]) / s
-            pad = np.asarray(reach) * (1 + 2**-20) / s + 2**-8
-            edges[0, :, col] = pos - pad
-            edges[1, :, col] = pos + pad
-        lo, hi = self._cell(edges[0]), self._cell(edges[1])
+        _, lo, hi = self._box(centers, reach)
         x0 = np.searchsorted(self.xs, lo[:, 0])
         x1 = np.searchsorted(self.xs, hi[:, 0], side="right")
         y0 = np.searchsorted(self.ys, lo[:, 1])
@@ -113,23 +143,31 @@ class Grid:
 
         Each query's box starts one cell side wide. It doubles while it holds
         fewer than k candidates, and widens to its k-th candidate distance
-        when that lies past its reach; then it holds every nearer point.
+        when that lies past its reach; then it holds every nearer point. A
+        short box that took in no point in its last round grows at least to
+        the least reach that may bring one (see ``_next_line``), so a query
+        far from the rest pays a few rounds, not one per doubling.
         """
         k = min(k, len(self.coords) if mask is None else int(np.count_nonzero(mask)))
         ids = np.zeros((len(centers), k), dtype=np.intp)
         dist = np.zeros((len(centers), k))
         reach = np.full(len(centers), float(self.side))
+        seen = np.zeros(len(centers), dtype=np.intp)  # points in each box last round
         todo = np.arange(len(centers)) if k else np.zeros(0, np.intp)
         while len(todo):
             short = np.ones(len(todo), dtype=bool)
             done = np.zeros(len(todo), dtype=bool)
+            held = np.zeros(len(todo), dtype=np.intp)  # set in the mask or not
             for query, cand in self.candidates(centers[todo], reach[todo]):
+                held += np.bincount(query, minlength=len(todo))
                 if mask is not None:
                     query, cand = query[mask[cand]], cand[mask[cand]]
                 d = np.sqrt(paired_squared_distances(centers, todo[query], self.coords, cand))
-                o = np.lexsort((cand, d, query))
-                qs, first, count = np.unique(query[o], return_index=True, return_counts=True)
-                qs, at = qs[count >= k], first[count >= k, None] + np.arange(k)
+                o = pair_order(query, d, cand, len(self.coords))
+                # The queries ascend, so each one's candidates are one run.
+                first = np.flatnonzero(np.diff(query, prepend=-1))
+                count = np.diff(first, append=len(query))
+                qs, at = query[first[count >= k]], first[count >= k, None] + np.arange(k)
                 short[qs] = False
                 kth = d[o[at[:, -1]]]
                 fits = kth <= reach[todo[qs]]
@@ -137,6 +175,12 @@ class Grid:
                 dist[todo[qs[fits]]] = d[o[at[fits]]]
                 done[qs[fits]] = True
                 reach[todo[qs[~fits]]] = kth[~fits]
-            reach[todo[short]] *= 2
+            stalled = short & (held == seen[todo])
+            seen[todo] = held
+            reach[todo[short & ~stalled]] *= 2
+            if stalled.any():
+                grow = todo[stalled]
+                line = self._next_line(centers[grow], reach[grow], held[stalled])
+                reach[grow] = np.maximum(2 * reach[grow], line)
             todo = todo[~done]
         return ids, dist

@@ -33,6 +33,7 @@ from .core import (
     Dataset,
     RunStats,
     Sphere,
+    pair_order,
     paired_squared_distances,
     stacked_bounding_sphere,
 )
@@ -83,13 +84,18 @@ class Region:
     m: int
 
 
-def _ascending_members(sets):
-    """Every set's ids in ascending order, one set after another, as one
-    array; with the index of the set of each entry, and each set's size."""
+def _ascending_members(sets, n):
+    """Every set's ids (each below ``n``) in ascending order, one set after
+    another, as one array; with the index of the set of each entry, and each
+    set's size. One sort of the keys owner * n + id, which are unique."""
     sizes = np.array([len(s) for s in sets], dtype=np.intp)
     owner = np.repeat(np.arange(len(sets)), sizes)
-    members = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
-    return members[np.lexsort((members, owner))], owner, sizes
+    key = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
+    base = owner * n
+    key += base
+    key.sort()
+    key -= base
+    return key, owner, sizes
 
 
 def _canopy_estimates(coords, canopies, m, c):
@@ -97,7 +103,7 @@ def _canopy_estimates(coords, canopies, m, c):
     bounding sphere, as (z,), (z, dim) and (z,) arrays. The members are taken
     in ascending id. Canopies of equal size form one (b, k, dim) stack for
     ``stacked_epsilon`` and ``stacked_bounding_sphere``."""
-    members, _, sizes = _ascending_members([canopy.member_ids for canopy in canopies])
+    members, _, sizes = _ascending_members([canopy.member_ids for canopy in canopies], len(coords))
     starts = np.cumsum(sizes) - sizes
     eps = np.zeros(len(canopies))
     centers = np.zeros((len(canopies), coords.shape[1]))
@@ -147,11 +153,13 @@ def build_regions(
     (see ``_region_side``) finds the members of every region in one chunked
     pass, and the floor-th nearest point of every short region in one batched
     query; each regrowth asks it for the nearest points with cap budget. The
-    cap works on arrays of (point, region) pairs, ordered by one lexsort on
-    (point, squared distance to the region's center, region id), but then
-    visits each point over the cap in a Python loop, in ascending id, because
-    whether a region may still lose a point depends on the drops before it.
-    On 10k 2-D blobs nearly every point is over the cap.
+    cap works on arrays of (point, region) pairs, ordered by point, squared
+    distance to the region's center and region id with one sort of a unique
+    int64 key (see ``core.pair_order``), but then visits each point over the
+    cap in a Python loop, in ascending id, because whether a region may still
+    lose a point depends on the drops before it. On 10k 2-D blobs nearly
+    every point is over the cap. The surviving pairs go to their regions,
+    each in ascending point id, by one sort of the keys region * n + point.
 
     ``tree`` is accepted for older callers and not used.
     """
@@ -167,18 +175,21 @@ def build_regions(
     rids, pids = grid.within(center_rows, radii)
     # Grow each short region to its floor-th nearest point, then find the
     # members of all of them again.
-    short = np.flatnonzero(np.bincount(rids, minlength=z) < floor)
+    is_short = np.bincount(rids, minlength=z) < floor
+    short = np.flatnonzero(is_short)
     radii[short] = np.maximum(radii[short], grid.nearest(center_rows[short], floor)[1][:, -1])
     grown, grown_pids = grid.within(center_rows[short], radii[short])
-    kept = ~np.isin(rids, short)
+    kept = ~is_short[rids]
     pids = np.concatenate([pids[kept], grown_pids])
     rids = np.concatenate([rids[kept], short[grown]])
     cap = cfg.cap
     pids, rids = _apply_cap(coords, center_rows, pids, rids, cap, floor)
 
-    by_region = np.argsort(rids, kind="stable")  # ascending point id within a region
     ends = np.cumsum(np.bincount(rids, minlength=z)).tolist()
-    members = pids[by_region].tolist()
+    by_region = rids * n
+    by_region += pids
+    by_region.sort()  # by region, then ascending point id
+    members = (by_region % n).tolist()
     spheres = map(Sphere, map(tuple, center_rows.tolist()), radii.tolist())
     regions = [
         Region(r, sphere, set(members[lo:hi]), epsilon, cfg.m)
@@ -208,9 +219,14 @@ def _apply_cap(coords, centers, pid, rid, cap, floor):
     but with regions already at the floor last, and never its nearest pair,
     so coverage survives. A point's regions are distinct, so its own drops
     change none of its own floor tests.
+
+    The pairs are put in (point, squared distance, region id) order by
+    ``pair_order``, whose key needs no pair twice: ``build_regions`` passes
+    each (point, region) pair once.
     """
-    order = np.lexsort((rid, paired_squared_distances(coords, pid, centers, rid), pid))
+    order = pair_order(pid, paired_squared_distances(coords, pid, centers, rid), rid, len(centers))
     pid, rid = pid[order], rid[order]
+    del order
     # A point's pairs now run nearest first.
     per_point = np.bincount(pid, minlength=len(coords))
     ends = np.cumsum(per_point)
@@ -254,7 +270,7 @@ def _map_regions(data: Dataset, regions: list[Region], m: int):
     ``stacked_merge`` cuts each class into slabs of at most
     ``_BLOCK_ENTRIES`` distance entries.
     """
-    members, owner, sizes = _ascending_members([r.member_ids for r in regions])
+    members, owner, sizes = _ascending_members([r.member_ids for r in regions], len(data))
     epsilon = np.array([r.epsilon for r in regions])
     starts = np.cumsum(sizes) - sizes
     labels = np.empty(len(members), dtype=np.intp)
@@ -305,7 +321,9 @@ def _fold(n: int, members, labels, core) -> ClusterResult:
     clustered = np.zeros(n, dtype=bool)
     clustered[tails] = True
     out = np.where(clustered, _lowest_linked(np.arange(n), heads, tails), NOISE)
-    core_ids = set(np.unique(members[core]).tolist())
+    is_core = np.zeros(n, dtype=bool)
+    is_core[members[core]] = True
+    core_ids = set(np.flatnonzero(is_core).tolist())
     return ClusterResult(out.tolist(), core_ids, RunStats(uf_ops=len(heads)))
 
 

@@ -11,6 +11,8 @@ from dapclust.core import (
     distance,
     distance_coords,
     load_csv,
+    pair_order,
+    paired_squared_distances,
     save_csv,
     squared_distances,
     squared_distances_to,
@@ -70,6 +72,42 @@ def test_squared_distances_bit_identical_to_scalar_loop(dim):
         rows = sb[p].tolist()
         for i in range(25):
             assert squared_distances_to(sa[p, i].tolist(), rows) == stack[p, i].tolist()
+
+
+def tied_pairs(rng, n_points, n_centers, n_pairs, scale=1.0):
+    """(point, centre) pairs with no pair twice, and their squared distances
+    by the package's rule. Points and centres lie on a half-integer lattice
+    and points repeat, so equal distances are common: copies of a point tie,
+    and so do lattice centres the same distance from one point. ``scale``
+    1e200 makes every square overflow to inf."""
+    points = rng.integers(-3, 4, size=(n_points, 2)) / 2 * scale
+    points[n_points // 2 :] = points[rng.integers(0, max(n_points // 2, 1), n_points - n_points // 2)]
+    centers = rng.integers(-3, 4, size=(n_centers, 2)) / 2 * scale
+    flat = rng.choice(n_points * n_centers, size=min(n_pairs, n_points * n_centers), replace=False)
+    pid, cid = flat // n_centers, flat % n_centers
+    with np.errstate(over="ignore"):
+        return pid, cid, paired_squared_distances(points, pid, centers, cid)
+
+
+def test_pair_order_is_the_lexsort_permutation():
+    # pair_order(group, value, id) against np.lexsort((id, value, group)),
+    # as whole permutations, with the group as point or as centre.
+    rng = np.random.default_rng(12)
+    cases = [(0, 0, 0, 1.0), (1, 1, 1, 1.0), (1, 5, 5, 1.0), (6, 1, 6, 1.0), (30, 40, 400, 1e200)]
+    cases += [(int(rng.integers(1, 60)), int(rng.integers(1, 40)), int(rng.integers(0, 900)), 1.0) for _ in range(40)]
+    ties = zeros = infs = 0
+    for n_points, n_centers, n_pairs, scale in cases:
+        pid, cid, sq = tied_pairs(rng, n_points, n_centers, n_pairs, scale)
+        for group, value, ids, bound in ((pid, sq, cid, n_centers), (cid, np.sqrt(sq), pid, n_points)):
+            want = np.lexsort((ids, value, group))
+            got = pair_order(group, value.copy(), ids, bound)
+            assert got.dtype.kind == "i" and got.tolist() == want.tolist()
+        order = np.lexsort((cid, sq, pid))
+        same = (pid[order][1:] == pid[order][:-1]) & (sq[order][1:] == sq[order][:-1])
+        ties += int(same.sum())
+        zeros += int((sq == 0).sum())
+        infs += int(np.isinf(sq).sum())
+    assert ties > 100 and zeros > 10 and infs > 100  # the id breaks many ties
 
 
 def test_distance_triangle_inequality():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from dapclust.baselines import knn_reference
 from dapclust.core import Dataset, squared_distances
 from dapclust.grid import Grid
 
@@ -77,3 +78,56 @@ def test_grid_range_edge_cases():
     radii = np.abs(far - near).tolist()
     got = within_by_query(Grid(data.coords, side), centers, radii)
     assert got == [range_oracle(data, c, r) for c, r in zip(centers, radii)]
+
+
+def nearest_matches_reference(grid, data, centers, k, mask):
+    """Assert that ``grid.nearest`` gives ``knn_reference``'s ids, order and
+    distance bits (as float hex) for every centre, over the points set in
+    ``mask``; return how many rows hold a tie in distance."""
+    ids, dist = grid.nearest(np.array(centers, dtype=float), k, mask)
+    want_k = min(k, len(data) if mask is None else int(np.count_nonzero(mask)))
+    assert ids.shape == dist.shape == (len(centers), want_k)
+    ties = 0
+    for center, row_ids, row_dist in zip(centers, ids.tolist(), dist.tolist()):
+        want = [(p, d) for p, d in knn_reference(data, center, len(data)) if mask is None or mask[p]][:k]
+        assert row_ids == [p for p, _ in want]
+        assert [d.hex() for d in row_dist] == [d.hex() for _, d in want]
+        ties += len(set(row_dist)) < len(row_dist)
+    return ties
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nearest_on_a_half_integer_lattice(dim):
+    # Points and centres on a half-integer lattice, a third of the points
+    # repeated: equal distances, from copies and from lattice symmetry, are
+    # the rule, so the id tie-break decides most rows.
+    rng = np.random.default_rng(dim)
+    rows = rng.integers(-6, 7, size=(240, dim)) / 2
+    rows = np.concatenate([rows, rows[rng.integers(0, 240, 120)]])
+    data = Dataset.from_coords(rows)
+    centers = (rng.integers(-7, 8, size=(40, dim)) / 2).tolist()
+    free = rng.random(len(rows)) < 0.3
+    ties = 0
+    for side in (0.5, 1.5, 20.0):
+        grid = Grid(data.coords, side)
+        for mask in (None, free):
+            for k in (1, 4, 30):
+                ties += nearest_matches_reference(grid, data, centers, k, mask)
+    assert ties > 100
+
+
+def test_nearest_when_the_mask_leaves_no_candidate():
+    # A mask that excludes every point gives empty rows. One that admits
+    # only far points leaves the early boxes no candidate at all.
+    rng = np.random.default_rng(8)
+    rows = np.concatenate([rng.normal(size=(200, 2)), rng.normal(size=(5, 2)) + 50])
+    data = Dataset.from_coords(rows)
+    grid = Grid(data.coords, 0.1)
+    centers = rng.normal(size=(20, 2)).tolist()
+    ids, dist = grid.nearest(np.array(centers), 3, np.zeros(len(rows), dtype=bool))
+    assert ids.shape == dist.shape == (20, 0)
+    ids, dist = grid.nearest(np.zeros((0, 2)), 3)
+    assert ids.shape == dist.shape == (0, 3)
+    far = np.arange(len(rows)) >= 200
+    for k in (1, 3, 5, 8):
+        nearest_matches_reference(grid, data, centers, k, far)

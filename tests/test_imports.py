@@ -6,6 +6,17 @@ import dapclust
 PACKAGE = Path(dapclust.__file__).parent
 
 
+def called_names(path) -> set[str]:
+    """Every name that the source file at ``path`` calls, as ``f(...)`` or
+    ``module.f(...)``, by its last dotted part."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return names
+
+
 def imported_names(path) -> set[str]:
     """Every module and name that the source file at ``path`` imports,
     modules by their last dotted part."""
@@ -32,3 +43,12 @@ def test_no_module_uses_the_union_find_or_the_tree():
             assert not imported & {"sstree", "SsTree"}, path.name
     assert not (PACKAGE / "unionfind.py").exists()
     assert not hasattr(dapclust, "UnionFind")
+
+
+def test_only_the_tree_may_call_lexsort():
+    # np.lexsort makes one merge pass per key; the clusterers' pair arrays
+    # sort by one int64 key instead, through core.pair_order.
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "sstree.py":
+            assert "lexsort" not in called_names(path) | imported_names(path), path.name
+    assert "pair_order" in called_names(PACKAGE / "pipeline.py") & called_names(PACKAGE / "grid.py")

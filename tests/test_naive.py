@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dapclust.core import Dataset, NOISE
 from dapclust.datagen import make_blobs, make_bridge
+from dapclust.grid import Grid
 from dapclust.naive import NaiveConfig, naive_cluster
 
 
@@ -130,3 +132,29 @@ def test_matches_brute_force_oracle():
         data = Dataset.from_coords(coords)
         assert naive_cluster(data, NaiveConfig(m)).labels == brute_naive(coords, m)
     assert pushed_out > 100
+
+
+def test_far_outlier_costs_few_box_rounds(monkeypatch):
+    # One point 3e12 from 2,000 blob points. Its box takes in nothing while
+    # it doubles, so it jumps to the next occupied cell row: the call makes
+    # at most one grid pass more than without the outlier, and the same
+    # labels as doubling alone, which needs one pass per doubling.
+    blobs, _ = make_blobs(2000, 5, seed=1)
+    data = Dataset.from_coords(np.vstack([blobs.coords, [(-3e12, 0.0)]]))
+    calls = []
+    candidates = Grid.candidates
+
+    def counted(self, centers, reach):
+        calls.append(len(centers))
+        return candidates(self, centers, reach)
+
+    monkeypatch.setattr(Grid, "candidates", counted)
+    got = naive_cluster(data, NaiveConfig(3)).labels
+    with_outlier = len(calls)
+    calls.clear()
+    assert got[:2000] == naive_cluster(blobs, NaiveConfig(3)).labels
+    assert with_outlier <= min(10, len(calls) + 1)
+    calls.clear()
+    monkeypatch.setattr(Grid, "_next_line", lambda self, centers, reach, held: np.zeros(len(centers)))
+    assert naive_cluster(data, NaiveConfig(3)).labels == got
+    assert len(calls) > 40

@@ -294,12 +294,34 @@ def cap_oracle(coords, regions, cap, floor):
     return fired
 
 
+def tie_splits(coords, centers, pid, rid, regions, cap):
+    """How many points over the cap have two regions at the same squared
+    distance of which the cap kept one and dropped the other, so that only
+    the region-id tie-break could decide between them."""
+    held = {}
+    for p, r in zip(pid.tolist(), rid.tolist()):
+        held.setdefault(p, []).append(r)
+    splits = 0
+    for p, rs in held.items():
+        if len(rs) <= cap:
+            continue
+        sq = squared_distances_to(coords[p].tolist(), centers[rs].tolist())
+        kept = {}
+        for s, r in zip(sq, rs):
+            kept.setdefault(s, set()).add(p in regions[r].member_ids)
+        splits += any(len(k) == 2 for k in kept.values())
+    return splits
+
+
 def test_cap_matches_set_walk_oracle(monkeypatch):
     # build_regions with its array cap, and again with the cap replaced by
     # the set walk on the same (point, region) pairs: the regions, after
-    # regrowth too, must be equal.
+    # regrowth too, must be equal. The blobs are followed by points on a
+    # half-integer lattice, where a point is often the same distance from
+    # two region centres and the region id breaks the tie.
     array_cap = pipeline._apply_cap
     fired = []
+    splits = []
 
     def oracle_cap(coords, centers, pid, rid, cap, floor):
         regions = [
@@ -309,6 +331,7 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
         for p, r in zip(pid.tolist(), rid.tolist()):
             regions[r].member_ids.add(p)
         fired.append(cap_oracle(coords, regions, cap, floor))
+        splits.append(tie_splits(coords, centers, pid, rid, regions, cap))
         pairs = sorted((p, r.id) for r in regions for p in r.member_ids)
         want = np.array(pairs, dtype=pid.dtype).reshape(-1, 2).T
         got = array_cap(coords, centers, pid, rid, cap, floor)
@@ -316,11 +339,19 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
         return want[0], want[1]
 
     rng = random.Random(5)
+    inputs = []
     for trial in range(24):
         dim = (2, 8)[trial % 2]
         m = rng.choice([3, 4, 5])
         cap = (1, 2, m)[trial % 3]
         data, _ = make_blobs(rng.randrange(150, 400), rng.randrange(1, 4), seed=trial, dim=dim)
+        inputs.append((data, m, cap))
+    for trial in range(6):
+        lattice = np.random.default_rng(trial)
+        dim = (2, 3)[trial % 2]
+        rows = lattice.integers(-8, 9, size=(lattice.integers(100, 250), dim)) / 2
+        inputs.append((Dataset.from_coords(rows), 3 + trial % 3, (2, 3)[trial % 2]))
+    for data, m, cap in inputs:
         cfg = PipelineConfig(m=m, max_regions_per_point=cap)
         canopies = canopy_cluster(data, estimate_thresholds(data, m))
         want = build_regions(data, canopies, cfg)
@@ -330,8 +361,9 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
         assert [(r.member_ids, r.sphere, r.epsilon) for r in got] == [
             (r.member_ids, r.sphere, r.epsilon) for r in want
         ]
-    assert len(fired) == 24
-    assert sum(f > 0 for f in fired) >= 5  # floor protection changed the result
+    assert len(fired) == len(inputs) == 30
+    assert sum(f > 0 for f in fired[:24]) >= 5  # floor protection changed the result
+    assert all(s > 0 for s in splits[24:])  # the region id decided between equal distances
 
 
 def test_cap_spares_a_region_at_the_floor():
