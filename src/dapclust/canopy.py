@@ -98,13 +98,19 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     grid = Grid(coords, cfg.t1)
     order = grid.order
     query, start, stop = grid.boxes(coords, cfg.t1)
-    ptr = np.searchsorted(query, np.arange(n + 1)).tolist()
-    slices = list(zip(start.tolist(), stop.tolist()))
+    # Each box spans under three cells on the first grid coordinate, so it
+    # meets at most four cell rows: one slice of ``order`` each. Empty slots
+    # stay (0, 0).
+    windows = np.zeros((n, 8), dtype=np.intp)
+    slot = 2 * (np.arange(len(query)) - np.searchsorted(query, query))
+    windows[query, slot] = start
+    windows[query, slot + 1] = stop
     alive = np.ones(n, dtype=bool)
     for seed in range(n):
         if not alive[seed]:
             continue
-        cand = np.concatenate([order[a:b] for a, b in slices[ptr[seed] : ptr[seed + 1]]])
+        a, b, c, d, e, f, g, h = windows[seed].tolist()
+        cand = np.concatenate((order[a:b], order[c:d], order[e:f], order[g:h]))
         cand = cand[alive[cand]]
         cheap = np.abs(coords[cand] - coords[seed]).max(axis=1)
         members = cand[cheap <= cfg.t1]

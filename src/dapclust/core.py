@@ -108,10 +108,11 @@ def pair_order(group: np.ndarray, value: np.ndarray, ids: np.ndarray, id_bound: 
     with no two pairs of the same (group, id).
 
     One default argsort puts the pairs in value order; the runs of equal
-    values are then sorted by (value rank, id), which leaves the pairs by
-    (value, id). Each pair's position in that order, plus its group * len,
-    makes a unique int64 key below the number of pairs times the largest
-    group, and one sort of the keys gives the permutation. Pairs of equal
+    values are then sorted by (run, id), with the runs numbered in value
+    order, which leaves the pairs by (value, id). Each pair's position in
+    that order, plus its group * len, makes a unique int64 key below the
+    number of pairs times the largest group, and one sort of the keys gives
+    the permutation. Pairs of equal
     (value, id) are of different groups, so the order that the sorts give
     them cannot show in the result.
     """
@@ -126,8 +127,9 @@ def pair_order(group: np.ndarray, value: np.ndarray, ids: np.ndarray, id_bound: 
     tied[:-1] |= ~new[1:]  # the first of each run too
     at = np.flatnonzero(tied)
     ties = order[at]
-    order[at] = ties[np.argsort(np.cumsum(new)[at] * id_bound + ids[ties])]
-    key = group[order] * n
+    order[at] = ties[np.argsort(np.cumsum(new[at]) * id_bound + ids[ties])]
+    key = group[order]
+    key *= n
     key += np.arange(n)
     key.sort()
     key %= n

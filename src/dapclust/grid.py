@@ -123,16 +123,23 @@ class Grid:
             first = np.repeat(start[a:b] - (offset[a:b] - offset[a]), n)
             yield np.repeat(query[a:b], n), self.order[first + np.arange(len(first))]
 
-    def within(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (query, point id) pairs with the point in the closed ball
-        ``sqrt(sq) <= radii[query]`` around ``centers[query]``, by the
-        package's distance rule."""
-        found = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
+    def within(self, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (query, point id, squared distance) triples with the point in
+        the closed ball ``sqrt(sq) <= radii[query]`` around
+        ``centers[query]``, by the package's distance rule. ``sq`` has the
+        bits of ``paired_squared_distances`` between the point and its
+        centre, in either argument order."""
+        found = ([np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)])
         for query, ids in self.candidates(centers, radii):
             sq = paired_squared_distances(centers, query, self.coords, ids)
             hit = np.sqrt(sq) <= radii[query]
-            found.append((query[hit], ids[hit]))
-        return tuple(np.concatenate(part) for part in zip(*found))
+            for part, values in zip(found, (query, ids, sq)):
+                part.append(values[hit])
+        joined = []
+        for part in found:
+            joined.append(np.concatenate(part))
+            part.clear()  # free the pieces before joining the next array
+        return tuple(joined)
 
     def nearest(self, centers: np.ndarray, k: int, mask=None) -> tuple[np.ndarray, np.ndarray]:
         """The k points nearest to each centre among those where ``mask`` is

@@ -19,9 +19,12 @@ per-region clusters back together through shared points.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -84,6 +87,39 @@ class Region:
     m: int
 
 
+class Regions(Sequence):
+    """The regions of one ``build_regions`` call, as arrays. Region r holds
+    the point ids ``members[ptr[r]:ptr[r + 1]]``, ascending; its sphere has
+    the centre ``centers[r]`` and the radius ``radii[r]``, and its scan
+    radius is ``epsilon[r]``.
+
+    Indexing or iterating gives ``Region`` objects, built on first use and
+    then kept, so a change to one of their member sets stays with it. The
+    arrays do not follow such changes.
+    """
+
+    def __init__(self, ptr, members, centers, radii, epsilon, m: int):
+        self.ptr, self.members = ptr, members
+        self.centers, self.radii, self.epsilon = centers, radii, epsilon
+        self.m = m
+
+    def __len__(self) -> int:
+        return len(self.epsilon)
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    @cached_property
+    def _objects(self) -> list[Region]:
+        ids, bounds = self.members.tolist(), self.ptr.tolist()
+        spheres = map(Sphere, map(tuple, self.centers.tolist()), self.radii.tolist())
+        rows = zip(range(len(self)), spheres, bounds, bounds[1:], self.epsilon.tolist())
+        return [Region(r, sphere, set(ids[lo:hi]), epsilon, self.m) for r, sphere, lo, hi, epsilon in rows]
+
+
 def _ascending_members(sets, n):
     """Every set's ids (each below ``n``) in ascending order, one set after
     another, as one array; with the index of the set of each entry, and each
@@ -132,7 +168,7 @@ def build_regions(
     canopies: list[Canopy],
     cfg: PipelineConfig,
     tree: object = None,
-) -> list[Region]:
+) -> Regions:
     """Turn canopies into regions.
 
     Per canopy: the scan radius comes from the canopy's own members, the
@@ -143,112 +179,198 @@ def build_regions(
 
     Afterwards the per-point cap is enforced: a point held by more than
     ``cfg.cap`` regions keeps only those with the nearest centers (ties by
-    lower region id). The cap never drops a point's nearest region, so
+    lower region id), sparing regions already at the floor (see
+    ``_apply_cap``). The cap never drops a point's nearest region, so
     coverage survives. Regions that fell below the floor regrow from the
-    nearest points (ties by lower id) that still have cap budget; when none is
-    left the smaller region is accepted.
+    nearest points (ties by lower id) that still have cap budget, in region
+    order (see ``_regrow``); when none is left the smaller region is
+    accepted.
 
-    The scan radii and spheres come from stacked array passes (see
-    ``_canopy_estimates``). A ``Grid`` with cells about a region radius wide
-    (see ``_region_side``) finds the members of every region in one chunked
-    pass, and the floor-th nearest point of every short region in one batched
-    query; each regrowth asks it for the nearest points with cap budget. The
-    cap works on arrays of (point, region) pairs, ordered by point, squared
-    distance to the region's center and region id with one sort of a unique
-    int64 key (see ``core.pair_order``), but then visits each point over the
-    cap in a Python loop, in ascending id, because whether a region may still
-    lose a point depends on the drops before it. On 10k 2-D blobs nearly
-    every point is over the cap. The surviving pairs go to their regions,
-    each in ascending point id, by one sort of the keys region * n + point.
+    Everything runs on arrays. The scan radii and spheres come from stacked
+    array passes (see ``_canopy_estimates``). A ``Grid`` with cells about a
+    region radius wide (see ``_region_side``) finds the members of every
+    region, with their squared distances, in one chunked pass, and the
+    floor-th nearest point of every short region in one batched query. The
+    cap and the regrowth work on arrays of (point, region) pairs, and the
+    surviving pairs go to their regions, each in ascending point id, by one
+    sort of the keys region * n + point. The result is a ``Regions``
+    sequence holding those arrays; ``Region`` objects are built only when a
+    caller indexes or iterates it.
 
     ``tree`` is accepted for older callers and not used.
     """
-    if not canopies:
-        return []
     n = len(data)
     coords = data.coords
-    floor = min(cfg.m, n)
     z = len(canopies)
-    eps, center_rows, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
+    if not canopies:
+        none = np.zeros(0)
+        return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m)
+    floor = min(cfg.m, n)
+    eps, centers, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
     radii = radius + eps
     grid = Grid(coords, _region_side(coords, radii))
-    rids, pids = grid.within(center_rows, radii)
+    rids, pids, sq = grid.within(centers, radii)
     # Grow each short region to its floor-th nearest point, then find the
     # members of all of them again.
     is_short = np.bincount(rids, minlength=z) < floor
     short = np.flatnonzero(is_short)
-    radii[short] = np.maximum(radii[short], grid.nearest(center_rows[short], floor)[1][:, -1])
-    grown, grown_pids = grid.within(center_rows[short], radii[short])
+    radii[short] = np.maximum(radii[short], grid.nearest(centers[short], floor)[1][:, -1])
+    grown, grown_pids, grown_sq = grid.within(centers[short], radii[short])
     kept = ~is_short[rids]
     pids = np.concatenate([pids[kept], grown_pids])
     rids = np.concatenate([rids[kept], short[grown]])
-    cap = cfg.cap
-    pids, rids = _apply_cap(coords, center_rows, pids, rids, cap, floor)
+    sq = np.concatenate([sq[kept], grown_sq])
+    pids, rids = _apply_cap(coords, centers, pids, rids, sq, cfg.cap, floor)
+    pids, rids = _regrow(grid, centers, radii, pids, rids, cfg.cap, floor)
 
-    ends = np.cumsum(np.bincount(rids, minlength=z)).tolist()
+    ptr = np.zeros(z + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rids, minlength=z), out=ptr[1:])
     by_region = rids * n
     by_region += pids
     by_region.sort()  # by region, then ascending point id
-    members = (by_region % n).tolist()
-    spheres = map(Sphere, map(tuple, center_rows.tolist()), radii.tolist())
-    regions = [
-        Region(r, sphere, set(members[lo:hi]), epsilon, cfg.m)
-        for r, sphere, lo, hi, epsilon in zip(range(z), spheres, [0, *ends], ends, eps.tolist())
-    ]
-
-    count = np.bincount(pids, minlength=n)
-    for r in regions:
-        missing = floor - len(r.member_ids)
-        if missing <= 0:
-            continue
-        free = count < cap
-        free[list(r.member_ids)] = False
-        [ids], [dist] = grid.nearest(center_rows[r.id, None], missing, free)
-        r.member_ids.update(ids.tolist())
-        count[ids] += 1
-        if len(ids) and dist[-1] > r.sphere.radius:
-            r.sphere = Sphere(r.sphere.center, float(dist[-1]))
-    return regions
+    by_region %= n
+    return Regions(ptr, by_region, centers, radii, eps, cfg.m)
 
 
-def _apply_cap(coords, centers, pid, rid, cap, floor):
-    """The (point, region) pairs that survive the per-point cap.
+def _apply_cap(coords, centers, pid, rid, sq, cap, floor):
+    """The (point, region) pairs that survive the per-point cap; ``sq``
+    holds each pair's squared distance to the region's centre.
 
-    Points over the cap are handled in ascending id, against the region sizes
-    that the earlier drops left. Each drops its excess pairs farthest first,
-    but with regions already at the floor last, and never its nearest pair,
-    so coverage survives. A point's regions are distinct, so its own drops
-    change none of its own floor tests.
+    The rule is sequential. Points over the cap are handled in ascending id,
+    against the region sizes that the earlier drops left. Each drops its
+    excess pairs farthest first, but with regions already at the floor last,
+    and never its nearest pair, so coverage survives. A point's regions are
+    distinct, so its own drops change none of its own floor tests.
 
-    The pairs are put in (point, squared distance, region id) order by
-    ``pair_order``, whose key needs no pair twice: ``build_regions`` passes
-    each (point, region) pair once.
+    It is settled by exception, as greedy sequential rules can be (Blelloch,
+    Fineman & Shun, SPAA 2012). The pairs are put in (point, squared
+    distance, region id) order by ``pair_order``, whose key needs no pair
+    twice (``build_regions`` passes each pair once), and every point first
+    keeps its ``cap`` nearest pairs. That choice can be wrong only at a
+    point that drops a region already at the floor. Sizes only fall, so each
+    region's droppers, in ascending id, show where it reaches the floor, and
+    every later dropper deviates. Only those points are replayed by the exact
+    rule, in ascending id through a heap: each sees the sizes left by the
+    droppers below it and by the earlier replays' corrections, and after it
+    the next deviation of every region it holds is pushed again.
     """
-    order = pair_order(pid, paired_squared_distances(coords, pid, centers, rid), rid, len(centers))
-    pid, rid = pid[order], rid[order]
-    del order
-    # A point's pairs now run nearest first.
-    per_point = np.bincount(pid, minlength=len(coords))
+    n, z = len(coords), len(centers)
+    per_point = np.bincount(pid, minlength=n)
+    rid = rid[pair_order(pid, sq, rid, z)]
+    # A point's pairs now run nearest first, and each point keeps its first
+    # min(count, cap); its point ids, ascending, need not be stored. The
+    # cheap decision drops each point's last ``excess`` pairs: a run that
+    # ``edge`` opens with +1 and closes with -1, so its running sum is 1 on
+    # the dropped pairs alone.
     ends = np.cumsum(per_point)
-    over = np.flatnonzero(per_point > cap)
-    size = np.bincount(rid, minlength=len(centers)).tolist()
-    keep = np.ones(len(pid), dtype=bool)
-    for end, count in zip(ends[over].tolist(), per_point[over].tolist()):
-        excess = count - cap
-        farthest = rid[end - excess : end].tolist()
-        if min(map(size.__getitem__, farthest)) > floor:
-            # None of them is at the floor, so they lead that order; one
-            # slice drops them, a third faster than sorting every point.
-            keep[end - excess : end] = False
-            for r in farthest:
-                size[r] -= 1
+    starts = ends - per_point
+    excess = np.maximum(per_point - cap, 0)
+    over = np.flatnonzero(excess)
+    edge = np.zeros(len(rid) + 1, dtype=np.int8)
+    edge[ends[over] - excess[over]] = 1
+    edge[ends[over]] = -1
+    keep = np.cumsum(edge[:-1], dtype=np.int8) == 0
+    del edge
+    size = np.bincount(rid, minlength=z)
+    # Each region's droppers in ascending id, as the keys region * n + point.
+    dropper = rid[~keep]
+    dropper *= n
+    dropper += np.repeat(np.arange(n), excess)
+    dropper.sort()
+    dptr = np.searchsorted(dropper, np.arange(z + 1) * n)
+    drops = np.diff(dptr)
+    # The j-th dropper of r (from 0) meets it at size[r] - j - fix[r], where
+    # fix[r] counts the drops of r that replays added, less those they took
+    # back; so at the floor from j = size[r] - floor - fix[r] on.
+    j = np.maximum(size - floor, 0)
+    r = np.flatnonzero(j < drops)
+    heap = (dropper[dptr[r] + j[r]] - r * n).tolist()
+    heapq.heapify(heap)
+    size, dptr, drops = size.tolist(), dptr.tolist(), drops.tolist()
+    fix = [0] * z
+    last = -1
+    while heap:
+        p = heapq.heappop(heap)
+        if p == last:
             continue
-        first = end - count + 1  # past the nearest pair
-        rs = rid[first:end].tolist()
-        for i in sorted(range(count - 2, -1, -1), key=lambda k: size[rs[k]] <= floor)[:excess]:
-            keep[first + i] = False
-            size[rs[i]] -= 1
-    return pid[keep], rid[keep]
+        last = p
+        lo, hi = starts[p], ends[p]
+        rs = rid[lo:hi]
+        found = np.searchsorted(dropper, rs * n + p).tolist()
+        # Each region of p, nearest first, with its droppers below p and
+        # whether the cheap decision dropped it.
+        held = [(r, k - dptr[r], i >= cap) for i, (r, k) in enumerate(zip(rs.tolist(), found))]
+        floored = [size[r] - below - fix[r] <= floor for r, below, _ in held]
+        drop = set(sorted(range(hi - lo - 1, 0, -1), key=floored.__getitem__)[: hi - lo - cap])
+        keep[lo:hi] = True
+        keep[[lo + i for i in drop]] = False
+        for i, (r, below, cheap) in enumerate(held):
+            fix[r] += (i in drop) - cheap
+            j = max(size[r] - floor - fix[r], below + cheap)
+            if j < drops[r]:
+                heapq.heappush(heap, int(dropper[dptr[r] + j]) - r * n)
+    return np.repeat(np.arange(n), per_point - excess), rid[keep]
+
+
+def _regrow(grid, centers, radii, pid, rid, cap, floor):
+    """The (point, region) pairs with the regions below ``floor`` members
+    regrown, and ``radii`` raised to cover each region's new members.
+
+    The rule is sequential: in ascending region id, each short region takes
+    its missing members from the nearest points (ties by lower id) that it
+    does not hold and that have cap budget left, and takes fewer when fewer
+    are left. It runs in rounds. Each round asks ``grid.nearest`` once for a
+    window of the regions still short, among the points with cap budget,
+    enough points to pass over each region's own members; each region picks
+    its nearest others. A pick is sound unless earlier regions' picks in the
+    same round used up its point's budget. The regions before the first
+    unsound pick keep their picks, which equal the sequential ones: the
+    points that earlier regions used up were not among them, and a smaller
+    mask leaves the nearest of the rest unchanged. The others ask again.
+
+    The first window holds every short region. A window that settles whole
+    doubles; otherwise the next one holds as many regions as it settled, so
+    that regions which keep contending for the same few points, as next to
+    many copies of one point, ask about one at a time rather than all again
+    in every round.
+    """
+    n, z = len(grid.coords), len(centers)
+    size = np.bincount(rid, minlength=z)
+    pending = np.flatnonzero(size < floor)
+    if not len(pending):
+        return pid, rid
+    held = size[rid] < floor
+    own = rid[held] * n + pid[held]  # the short regions' members, as keys
+    count = np.bincount(pid, minlength=n)
+    pids, rids = [pid], [rid]
+    width = len(pending)
+    while len(pending):
+        ask = pending[:width]
+        free = count < cap
+        need = floor - size[ask]
+        extra = np.bincount(own[free[own % n]] // n, minlength=z)[ask]
+        ids, dist = grid.nearest(centers[ask], int((need + extra).max()), free)
+        mine = np.isin(ask[:, None] * n + ids, own)
+        row, col = np.nonzero(~mine & (np.cumsum(~mine, axis=1) <= need[:, None]))
+        picks = ids[row, col]
+        # How often each pick's point was picked by an earlier region.
+        o = np.argsort(picks, kind="stable")
+        first = np.flatnonzero(np.diff(picks[o], prepend=-1))
+        earlier = np.empty_like(o)
+        earlier[o] = np.arange(len(o)) - np.repeat(first, np.diff(first, append=len(o)))
+        lost = count[picks] + earlier >= cap
+        stop = row[lost][0] if lost.any() else len(ask)
+        ok = row < stop
+        pids.append(picks[ok])
+        rids.append(ask[row[ok]])
+        np.add.at(count, picks[ok], 1)
+        # Each region's last pick is its farthest.
+        last = np.flatnonzero(np.diff(row[ok], append=len(ask)))
+        grew = ask[row[last]]
+        radii[grew] = np.maximum(radii[grew], dist[row[last], col[last]])
+        pending = pending[stop:]
+        width = 2 * width if stop == len(ask) else stop
+    return np.concatenate(pids), np.concatenate(rids)
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
@@ -260,19 +382,21 @@ def map_step(region: Region, data: Dataset) -> LocalLabeling:
     return density_cluster(data, sorted(region.member_ids), cfg)
 
 
-def _map_regions(data: Dataset, regions: list[Region], m: int):
+def _map_regions(data: Dataset, regions: Regions, m: int):
     """The map: the density merge of every region. Returns the ``_fold``
     inputs, one entry per (region, point) membership, and each region's
     size, scan radius and core count.
 
-    Every non-empty region goes through ``stacked_merge`` with the other
-    regions of its size class, its size rounded up to a multiple of 8.
+    It reads the arrays of ``regions``, not ``Region`` objects. Every
+    non-empty region goes through ``stacked_merge`` with the other regions
+    of its size class, its size rounded up to a multiple of 8.
     ``stacked_merge`` cuts each class into slabs of at most
     ``_BLOCK_ENTRIES`` distance entries.
     """
-    members, owner, sizes = _ascending_members([r.member_ids for r in regions], len(data))
-    epsilon = np.array([r.epsilon for r in regions])
-    starts = np.cumsum(sizes) - sizes
+    members, epsilon = regions.members, regions.epsilon
+    starts = regions.ptr[:-1]
+    sizes = np.diff(regions.ptr)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     labels = np.empty(len(members), dtype=np.intp)
     core = np.empty(len(members), dtype=bool)
     width = (sizes + 7) // 8 * 8

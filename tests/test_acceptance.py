@@ -65,7 +65,7 @@ def index_sweep(rng, dims, sets, max_n, max_radius):
         for _ in range(50):
             centers.append(tuple(rng.uniform(-100, 100) for _ in range(dim)))
             radii.append(rng.uniform(0, max_radius(dim)))
-        query, ids = grid.within(np.array(centers), np.array(radii))
+        query, ids, _ = grid.within(np.array(centers), np.array(radii))
         for i, (center, radius) in enumerate(zip(centers, radii)):
             assert sorted(ids[query == i].tolist()) == range_oracle(data, center, radius)
 

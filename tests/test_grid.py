@@ -23,7 +23,16 @@ def range_oracle(data, center, radius):
 
 
 def within_by_query(grid, centers, radii):
-    query, ids = grid.within(np.array(centers, dtype=float), np.array(radii, dtype=float))
+    """Each query's ids, ascending; asserts that the squared distance of
+    every hit has the bits of a sum of products d * d in coordinate order
+    (elementwise, so each step rounds as the scalar loop's does)."""
+    centers = np.array(centers, dtype=float)
+    query, ids, sq = grid.within(centers, np.array(radii, dtype=float))
+    want = np.zeros(len(query))
+    for j in range(centers.shape[1]):
+        d = centers[query, j] - grid.coords[ids, j]
+        want = want + d * d
+    assert sq.tobytes() == want.tobytes()
     return [sorted(ids[query == i].tolist()) for i in range(len(radii))]
 
 
@@ -58,8 +67,8 @@ def test_grid_range_matches_oracle(dim):
 
 def test_grid_range_edge_cases():
     grid = Grid(Dataset.from_coords([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)]).coords, 0.5)
-    query, ids = grid.within(np.zeros((0, 2)), np.zeros(0))
-    assert query.tolist() == [] and ids.tolist() == []
+    query, ids, sq = grid.within(np.zeros((0, 2)), np.zeros(0))
+    assert query.tolist() == [] and ids.tolist() == [] and sq.tolist() == []
     got = within_by_query(grid, [(0.0, 0.0), (5.0, 5.0), (0.0, 0.0)], [0.0, 1.0, math.inf])
     assert got == [[0, 2], [], [0, 1, 2]]
     same = Grid(np.zeros((4, 3)), 1.0)  # no spread: one cell

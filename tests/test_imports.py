@@ -1,7 +1,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import dapclust
+from dapclust import pipeline
+from dapclust.datagen import make_blobs
 
 PACKAGE = Path(dapclust.__file__).parent
 
@@ -52,3 +56,31 @@ def test_only_the_tree_may_call_lexsort():
         if path.name != "sstree.py":
             assert "lexsort" not in called_names(path) | imported_names(path), path.name
     assert "pair_order" in called_names(PACKAGE / "pipeline.py") & called_names(PACKAGE / "grid.py")
+
+
+def test_cluster_builds_regions_once_and_no_region_objects(monkeypatch):
+    # The benchmark keeps the regions of a call by patching
+    # pipeline.build_regions, so cluster calls it by that name, once; the map
+    # reads the arrays it returns, so cluster's own path builds no Region.
+    module = ast.parse(Path(pipeline.__file__).read_text())
+    [body] = [node for node in module.body if getattr(node, "name", None) == "cluster"]
+    calls = [node.func for node in ast.walk(body) if isinstance(node, ast.Call)]
+    assert [getattr(f, "id", None) for f in calls].count("build_regions") == 1
+    built = []
+    real = pipeline.build_regions
+
+    def keep(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Region was built")
+
+    monkeypatch.setattr(pipeline, "build_regions", keep)
+    monkeypatch.setattr(pipeline, "Region", refuse)
+    data, _ = make_blobs(600, 3, seed=3)
+    # A cap of 2 leaves regions short, so the regrowth runs too.
+    result = pipeline.cluster(data, pipeline.PipelineConfig(m=4, max_regions_per_point=2))
+    assert len(built) == 1 and result.n_clusters > 0
+    with pytest.raises(AssertionError, match="a Region was built"):
+        built[0][0]

@@ -260,17 +260,20 @@ def test_stats_populated():
     assert res.stats.uf_ops > 0
 
 
-def cap_oracle(coords, regions, cap, floor):
+def cap_oracle(coords, regions, cap, floor, met=None):
     """The per-point cap as a walk over member sets and a membership dict:
     points in ascending id, each dropping its farthest regions (ties: higher
     region id first) but never its nearest, and sparing regions at the floor
     while it can. Mutates the regions' member sets and returns how many
-    points dropped other regions than their farthest because of the floor."""
+    points dropped other regions than their farthest because of the floor.
+    Appends to ``met``, when given, how many points over the cap had a
+    region at the floor among their farthest."""
     membership = {}
     for r in regions:
         for pid in r.member_ids:
             membership.setdefault(pid, []).append(r.id)
     fired = 0
+    meetings = 0
     for pid in sorted(pid for pid, rids in membership.items() if len(rids) > cap):
         rids = membership[pid]
         centers = [regions[rid].sphere.center for rid in rids]
@@ -279,6 +282,7 @@ def cap_oracle(coords, regions, cap, floor):
         nearest = order[0]
         excess = len(order) - cap
         farthest = set(order[-excess:])
+        meetings += any(len(regions[rid].member_ids) <= floor for rid in farthest)
         for protect_floor in (True, False):
             for rid in reversed(order):
                 if excess == 0:
@@ -291,6 +295,8 @@ def cap_oracle(coords, regions, cap, floor):
                 rids.remove(rid)
                 excess -= 1
         fired += farthest != set(order) - set(rids)
+    if met is not None:
+        met.append(meetings)
     return fired
 
 
@@ -322,21 +328,35 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
     array_cap = pipeline._apply_cap
     fired = []
     splits = []
+    met = []
+    over = []
 
-    def oracle_cap(coords, centers, pid, rid, cap, floor):
+    def oracle_cap(coords, centers, pid, rid, sq, cap, floor):
         regions = [
             SimpleNamespace(id=r, sphere=SimpleNamespace(center=tuple(c)), member_ids=set())
             for r, c in enumerate(centers.tolist())
         ]
         for p, r in zip(pid.tolist(), rid.tolist()):
             regions[r].member_ids.add(p)
-        fired.append(cap_oracle(coords, regions, cap, floor))
+        over.append(int((np.bincount(pid) > cap).sum()))
+        fired.append(cap_oracle(coords, regions, cap, floor, met))
         splits.append(tie_splits(coords, centers, pid, rid, regions, cap))
         pairs = sorted((p, r.id) for r in regions for p in r.member_ids)
         want = np.array(pairs, dtype=pid.dtype).reshape(-1, 2).T
-        got = array_cap(coords, centers, pid, rid, cap, floor)
+        got = array_cap(coords, centers, pid, rid, sq, cap, floor)
         assert sorted(zip(*(a.tolist() for a in got))) == pairs
         return want[0], want[1]
+
+    def compare(data, cfg, canopies=None):
+        if canopies is None:
+            canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
+        want = build_regions(data, canopies, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "_apply_cap", oracle_cap)
+            got = build_regions(data, canopies, cfg)
+        assert [(r.member_ids, r.sphere, r.epsilon) for r in got] == [
+            (r.member_ids, r.sphere, r.epsilon) for r in want
+        ]
 
     rng = random.Random(5)
     inputs = []
@@ -352,18 +372,36 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
         rows = lattice.integers(-8, 9, size=(lattice.integers(100, 250), dim)) / 2
         inputs.append((Dataset.from_coords(rows), 3 + trial % 3, (2, 3)[trial % 2]))
     for data, m, cap in inputs:
-        cfg = PipelineConfig(m=m, max_regions_per_point=cap)
-        canopies = canopy_cluster(data, estimate_thresholds(data, m))
-        want = build_regions(data, canopies, cfg)
-        with monkeypatch.context() as mp:
-            mp.setattr(pipeline, "_apply_cap", oracle_cap)
-            got = build_regions(data, canopies, cfg)
-        assert [(r.member_ids, r.sphere, r.epsilon) for r in got] == [
-            (r.member_ids, r.sphere, r.epsilon) for r in want
-        ]
+        compare(data, PipelineConfig(m=m, max_regions_per_point=cap))
     assert len(fired) == len(inputs) == 30
     assert sum(f > 0 for f in fired[:24]) >= 5  # floor protection changed the result
     assert all(s > 0 for s in splits[24:])  # the region id decided between equal distances
+
+    # Inputs for the replay of the points whose nearest-first choice meets
+    # a region at the floor. Blobs with ids ascending along x, so that each
+    # replay changes the sizes that the next points see, at caps 1 and 2.
+    for seed in range(3):
+        blobs, _ = make_blobs(300, 2, seed=seed, dim=2 + seed % 2)
+        data = Dataset.from_coords(blobs.coords[np.argsort(blobs.coords[:, 0], kind="stable")])
+        for cap in (1, 2):
+            compare(data, PipelineConfig(m=4, max_regions_per_point=cap))
+    assert all(k > 0 for k in met[30:])
+    assert all(f > 0 for f in fired[31::2])  # a cap of 1 leaves no choice
+    # A dense half-integer lattice with a canopy of a 2 x 2 or 3 x 3 block
+    # at every point and next to no inflation: regions start at or just
+    # above the floor, so most points over the cap meet one there.
+    side = 20
+    rows = np.array([(x, y) for x in range(side) for y in range(side)]) / 2
+    widths = iter(np.random.default_rng(20).integers(2, 4, size=(side - 1) ** 2).tolist())
+    canopies = []
+    for x in range(side - 1):
+        for y in range(side - 1):
+            k = next(widths)
+            block = [(x + i) * side + y + j for i in range(k) for j in range(k) if max(x + i, y + j) < side]
+            canopies.append(Canopy(x * side + y, frozenset(block)))
+    for m, cap in ((5, 2), (6, 3)):
+        compare(Dataset.from_coords(rows), PipelineConfig(m=m, c=1e-9, max_regions_per_point=cap), canopies)
+    assert all(2 * k > o and f > 0 for k, o, f in zip(met[-2:], over[-2:], fired[-2:]))
 
 
 def test_cap_spares_a_region_at_the_floor():
@@ -473,6 +511,58 @@ def test_regrowth_matches_knn_walk_oracle(monkeypatch):
                     r.sphere = Sphere(r.sphere.center, max(r.sphere.radius, d))
         assert [(r.member_ids, r.sphere) for r in got] == [(r.member_ids, r.sphere) for r in want]
     assert grew > 20
+
+
+def test_regrowth_settles_a_contested_point_by_region_id(monkeypatch):
+    # Two groups of six points, 10 apart, each under three identical
+    # canopies: under a cap of 2, regions 2 and 5 each keep two points and
+    # must regrow by two. Only the four points of region 6, held once each,
+    # have cap budget: ids 12-15 at (5, 0), (5, 0.5), (5, -0.5), (5, 1). Both
+    # short regions want 12 and 13 first, which can take one more region
+    # each. Region 2 gets them, and region 5 takes the next two.
+    offsets = (-0.25, -0.15, -0.05, 0.05, 0.15, 0.25)
+    rows = [(x, 0.0) for x in offsets] + [(10.0 + x, 0.0) for x in offsets]
+    rows += [(5.0, 0.0), (5.0, 0.5), (5.0, -0.5), (5.0, 1.0)]
+    data = Dataset.from_coords(rows)
+    canopies = [Canopy(0, frozenset(range(6)))] * 3 + [Canopy(6, frozenset(range(6, 12)))] * 3
+    canopies.append(Canopy(12, frozenset(range(12, 16))))
+    cfg = PipelineConfig(m=4, c=1e-9, max_regions_per_point=2)
+    asked = []
+    direct = Grid.nearest
+
+    def spy(self, centers, k, mask=None):
+        if mask is not None:
+            asked.append((len(centers), np.flatnonzero(mask).tolist()))
+        return direct(self, centers, k, mask)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Grid, "nearest", spy)
+        got = build_regions(data, canopies, cfg)
+    # One batched round for both regions, and one more for region 5 alone.
+    assert asked == [(2, [12, 13, 14, 15]), (1, [14, 15])]
+    assert got[2].member_ids == {2, 3, 12, 13}
+    assert got[5].member_ids == {8, 9, 14, 15}
+    assert got[5].sphere.radius == math.sqrt(26.0)
+
+    # The sequential walk over knn_reference, from the regions before
+    # regrowth: region 2 first, then region 5.
+    def no_regrowth(self, centers, k, mask=None):
+        return direct(self, centers, k if mask is None else 0, mask)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Grid, "nearest", no_regrowth)
+        want = build_regions(data, canopies, cfg)
+    count = Counter(p for r in want for p in r.member_ids)
+    assert [r.id for r in want if len(r.member_ids) < cfg.m] == [2, 5]
+    for r in want:
+        for pid, d in knn_reference(data, r.sphere.center, len(data)):
+            if len(r.member_ids) >= cfg.m:
+                break
+            if pid not in r.member_ids and count[pid] < cfg.cap:
+                r.member_ids.add(pid)
+                count[pid] += 1
+                r.sphere = Sphere(r.sphere.center, max(r.sphere.radius, d))
+    assert [(r.member_ids, r.sphere) for r in got] == [(r.member_ids, r.sphere) for r in want]
 
 
 def test_pipeline_builds_no_tree(monkeypatch):
