@@ -21,19 +21,16 @@ from .core import _BLOCK_ENTRIES, NOISE, Dataset, kth_distances, squared_distanc
 @dataclass(frozen=True)
 class DensityConfig:
     """Core test parameters: at least m neighbours (the point itself included)
-    within radius epsilon. c scales the radius during estimation only."""
+    within radius epsilon."""
 
     m: int
     epsilon: float
-    c: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be non-negative and finite")
-        if not 0 < self.c < math.inf:
-            raise ValueError("c must be positive and finite")
 
 
 @dataclass

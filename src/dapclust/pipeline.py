@@ -3,11 +3,11 @@
 1. Canopy pre-clustering partitions the data with a cheap metric, taking
    each seed's candidates from a coordinate grid.
 2. Map: each canopy becomes a region (an inflated bounding sphere with its
-   own inferred scan radius, whose members come from range and nearest
-   queries on a second coordinate grid), and every region is merged by the
-   density rule on its own. The regions are merged many at a time, in stacked
-   array passes; a region too large for one distance block is merged in row
-   slabs.
+   own inferred scan radius, whose members come from one range pass on a
+   second coordinate grid, each point kept by at most ``cap`` of its nearest
+   regions), and every region is merged by the density rule on its own.
+   The regions are merged many at a time, in stacked array passes; a region
+   too large for one distance block is merged in row slabs.
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -19,7 +19,6 @@ per-region clusters back together through shared points.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections.abc import Sequence
@@ -37,7 +36,6 @@ from .core import (
     RunStats,
     Sphere,
     pair_order,
-    paired_squared_distances,
     stacked_bounding_sphere,
 )
 from .density import (
@@ -155,8 +153,9 @@ def _canopy_estimates(coords, canopies, m, c):
 def _region_side(coords, radii) -> float:
     """The cell side of the region grid: the median positive region radius.
     When every radius is 0 (canopies of repeated points), the widest span
-    over sqrt(n) stands in, so nearest queries start from a box that holds
-    some points; 1 when every point is the same."""
+    over sqrt(n) stands in, so the points spread over many cells and a box
+    of zero reach does not gather all of them; 1 when every point is the
+    same."""
     positive = radii[radii > 0]
     if len(positive):
         return float(np.median(positive))
@@ -174,28 +173,23 @@ def build_regions(
     Per canopy: the scan radius comes from the canopy's own members, the
     approximate minimum enclosing sphere of those members is inflated by that
     radius (this creates the overlap between neighbouring regions), and every
-    dataset point inside the inflated sphere becomes a member. Regions below
-    min(m, n) members grow to the m-th nearest point of their center.
+    dataset point inside the inflated sphere becomes a member.
 
-    Afterwards the per-point cap is enforced: a point held by more than
-    ``cfg.cap`` regions keeps only those with the nearest centers (ties by
-    lower region id), sparing regions already at the floor (see
-    ``_apply_cap``). The cap never drops a point's nearest region, so
-    coverage survives. Regions that fell below the floor regrow from the
-    nearest points (ties by lower id) that still have cap budget, in region
-    order (see ``_regrow``); when none is left the smaller region is
-    accepted.
+    Then the per-point cap: a point inside more than ``cfg.cap`` spheres
+    stays only in the ``cfg.cap`` of them with the nearest centres, by
+    (squared distance, region id). A point's nearest region is always kept,
+    and every point lies inside its own canopy's sphere, so every point keeps
+    a region; a region may shrink, and may be left empty.
 
     Everything runs on arrays. The scan radii and spheres come from stacked
     array passes (see ``_canopy_estimates``). A ``Grid`` with cells about a
     region radius wide (see ``_region_side``) finds the members of every
-    region, with their squared distances, in one chunked pass, and the
-    floor-th nearest point of every short region in one batched query. The
-    cap and the regrowth work on arrays of (point, region) pairs, and the
-    surviving pairs go to their regions, each in ascending point id, by one
-    sort of the keys region * n + point. The result is a ``Regions``
-    sequence holding those arrays; ``Region`` objects are built only when a
-    caller indexes or iterates it.
+    region, with their squared distances, in one chunked pass. The cap puts
+    these (point, region) pairs in (point, squared distance, region id) order
+    with ``pair_order``, and the surviving pairs go to their regions, each in
+    ascending point id, by one sort of the keys region * n + point. The
+    result is a ``Regions`` sequence holding those arrays; ``Region`` objects
+    are built only when a caller indexes or iterates it.
 
     ``tree`` is accepted for older callers and not used.
     """
@@ -205,23 +199,23 @@ def build_regions(
     if not canopies:
         none = np.zeros(0)
         return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m)
-    floor = min(cfg.m, n)
     eps, centers, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
     radii = radius + eps
-    grid = Grid(coords, _region_side(coords, radii))
-    rids, pids, sq = grid.within(centers, radii)
-    # Grow each short region to its floor-th nearest point, then find the
-    # members of all of them again.
-    is_short = np.bincount(rids, minlength=z) < floor
-    short = np.flatnonzero(is_short)
-    radii[short] = np.maximum(radii[short], grid.nearest(centers[short], floor)[1][:, -1])
-    grown, grown_pids, grown_sq = grid.within(centers[short], radii[short])
-    kept = ~is_short[rids]
-    pids = np.concatenate([pids[kept], grown_pids])
-    rids = np.concatenate([rids[kept], short[grown]])
-    sq = np.concatenate([sq[kept], grown_sq])
-    pids, rids = _apply_cap(coords, centers, pids, rids, sq, cfg.cap, floor)
-    pids, rids = _regrow(grid, centers, radii, pids, rids, cfg.cap, floor)
+    rids, pids, sq = Grid(coords, _region_side(coords, radii)).within(centers, radii)
+    # Each point's pairs, nearest first; it keeps the first cfg.cap of them.
+    # The point ids ascend in this order and need not be kept. Each unsorted
+    # array goes once the order is applied, so the cap's own arrays do not
+    # come on top of them.
+    held = np.bincount(pids, minlength=n)
+    order = pair_order(pids, sq, rids, z)
+    del pids, sq
+    rids = rids[order]
+    del order
+    rank = np.arange(len(rids))
+    rank -= np.repeat(np.cumsum(held) - held, held)
+    rids = rids[rank < cfg.cap]
+    del rank
+    pids = np.repeat(np.arange(n), np.minimum(held, cfg.cap))
 
     ptr = np.zeros(z + 1, dtype=np.intp)
     np.cumsum(np.bincount(rids, minlength=z), out=ptr[1:])
@@ -230,147 +224,6 @@ def build_regions(
     by_region.sort()  # by region, then ascending point id
     by_region %= n
     return Regions(ptr, by_region, centers, radii, eps, cfg.m)
-
-
-def _apply_cap(coords, centers, pid, rid, sq, cap, floor):
-    """The (point, region) pairs that survive the per-point cap; ``sq``
-    holds each pair's squared distance to the region's centre.
-
-    The rule is sequential. Points over the cap are handled in ascending id,
-    against the region sizes that the earlier drops left. Each drops its
-    excess pairs farthest first, but with regions already at the floor last,
-    and never its nearest pair, so coverage survives. A point's regions are
-    distinct, so its own drops change none of its own floor tests.
-
-    It is settled by exception, as greedy sequential rules can be (Blelloch,
-    Fineman & Shun, SPAA 2012). The pairs are put in (point, squared
-    distance, region id) order by ``pair_order``, whose key needs no pair
-    twice (``build_regions`` passes each pair once), and every point first
-    keeps its ``cap`` nearest pairs. That choice can be wrong only at a
-    point that drops a region already at the floor. Sizes only fall, so each
-    region's droppers, in ascending id, show where it reaches the floor, and
-    every later dropper deviates. Only those points are replayed by the exact
-    rule, in ascending id through a heap: each sees the sizes left by the
-    droppers below it and by the earlier replays' corrections, and after it
-    the next deviation of every region it holds is pushed again.
-    """
-    n, z = len(coords), len(centers)
-    per_point = np.bincount(pid, minlength=n)
-    rid = rid[pair_order(pid, sq, rid, z)]
-    # A point's pairs now run nearest first, and each point keeps its first
-    # min(count, cap); its point ids, ascending, need not be stored. The
-    # cheap decision drops each point's last ``excess`` pairs: a run that
-    # ``edge`` opens with +1 and closes with -1, so its running sum is 1 on
-    # the dropped pairs alone.
-    ends = np.cumsum(per_point)
-    starts = ends - per_point
-    excess = np.maximum(per_point - cap, 0)
-    over = np.flatnonzero(excess)
-    edge = np.zeros(len(rid) + 1, dtype=np.int8)
-    edge[ends[over] - excess[over]] = 1
-    edge[ends[over]] = -1
-    keep = np.cumsum(edge[:-1], dtype=np.int8) == 0
-    del edge
-    size = np.bincount(rid, minlength=z)
-    # Each region's droppers in ascending id, as the keys region * n + point.
-    dropper = rid[~keep]
-    dropper *= n
-    dropper += np.repeat(np.arange(n), excess)
-    dropper.sort()
-    dptr = np.searchsorted(dropper, np.arange(z + 1) * n)
-    drops = np.diff(dptr)
-    # The j-th dropper of r (from 0) meets it at size[r] - j - fix[r], where
-    # fix[r] counts the drops of r that replays added, less those they took
-    # back; so at the floor from j = size[r] - floor - fix[r] on.
-    j = np.maximum(size - floor, 0)
-    r = np.flatnonzero(j < drops)
-    heap = (dropper[dptr[r] + j[r]] - r * n).tolist()
-    heapq.heapify(heap)
-    size, dptr, drops = size.tolist(), dptr.tolist(), drops.tolist()
-    fix = [0] * z
-    last = -1
-    while heap:
-        p = heapq.heappop(heap)
-        if p == last:
-            continue
-        last = p
-        lo, hi = starts[p], ends[p]
-        rs = rid[lo:hi]
-        found = np.searchsorted(dropper, rs * n + p).tolist()
-        # Each region of p, nearest first, with its droppers below p and
-        # whether the cheap decision dropped it.
-        held = [(r, k - dptr[r], i >= cap) for i, (r, k) in enumerate(zip(rs.tolist(), found))]
-        floored = [size[r] - below - fix[r] <= floor for r, below, _ in held]
-        drop = set(sorted(range(hi - lo - 1, 0, -1), key=floored.__getitem__)[: hi - lo - cap])
-        keep[lo:hi] = True
-        keep[[lo + i for i in drop]] = False
-        for i, (r, below, cheap) in enumerate(held):
-            fix[r] += (i in drop) - cheap
-            j = max(size[r] - floor - fix[r], below + cheap)
-            if j < drops[r]:
-                heapq.heappush(heap, int(dropper[dptr[r] + j]) - r * n)
-    return np.repeat(np.arange(n), per_point - excess), rid[keep]
-
-
-def _regrow(grid, centers, radii, pid, rid, cap, floor):
-    """The (point, region) pairs with the regions below ``floor`` members
-    regrown, and ``radii`` raised to cover each region's new members.
-
-    The rule is sequential: in ascending region id, each short region takes
-    its missing members from the nearest points (ties by lower id) that it
-    does not hold and that have cap budget left, and takes fewer when fewer
-    are left. It runs in rounds. Each round asks ``grid.nearest`` once for a
-    window of the regions still short, among the points with cap budget,
-    enough points to pass over each region's own members; each region picks
-    its nearest others. A pick is sound unless earlier regions' picks in the
-    same round used up its point's budget. The regions before the first
-    unsound pick keep their picks, which equal the sequential ones: the
-    points that earlier regions used up were not among them, and a smaller
-    mask leaves the nearest of the rest unchanged. The others ask again.
-
-    The first window holds every short region. A window that settles whole
-    doubles; otherwise the next one holds as many regions as it settled, so
-    that regions which keep contending for the same few points, as next to
-    many copies of one point, ask about one at a time rather than all again
-    in every round.
-    """
-    n, z = len(grid.coords), len(centers)
-    size = np.bincount(rid, minlength=z)
-    pending = np.flatnonzero(size < floor)
-    if not len(pending):
-        return pid, rid
-    held = size[rid] < floor
-    own = rid[held] * n + pid[held]  # the short regions' members, as keys
-    count = np.bincount(pid, minlength=n)
-    pids, rids = [pid], [rid]
-    width = len(pending)
-    while len(pending):
-        ask = pending[:width]
-        free = count < cap
-        need = floor - size[ask]
-        extra = np.bincount(own[free[own % n]] // n, minlength=z)[ask]
-        ids, dist = grid.nearest(centers[ask], int((need + extra).max()), free)
-        mine = np.isin(ask[:, None] * n + ids, own)
-        row, col = np.nonzero(~mine & (np.cumsum(~mine, axis=1) <= need[:, None]))
-        picks = ids[row, col]
-        # How often each pick's point was picked by an earlier region.
-        o = np.argsort(picks, kind="stable")
-        first = np.flatnonzero(np.diff(picks[o], prepend=-1))
-        earlier = np.empty_like(o)
-        earlier[o] = np.arange(len(o)) - np.repeat(first, np.diff(first, append=len(o)))
-        lost = count[picks] + earlier >= cap
-        stop = row[lost][0] if lost.any() else len(ask)
-        ok = row < stop
-        pids.append(picks[ok])
-        rids.append(ask[row[ok]])
-        np.add.at(count, picks[ok], 1)
-        # Each region's last pick is its farthest.
-        last = np.flatnonzero(np.diff(row[ok], append=len(ask)))
-        grew = ask[row[last]]
-        radii[grew] = np.maximum(radii[grew], dist[row[last], col[last]])
-        pending = pending[stop:]
-        width = 2 * width if stop == len(ask) else stop
-    return np.concatenate(pids), np.concatenate(rids)
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:

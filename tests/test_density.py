@@ -38,8 +38,6 @@ def test_config_validation():
             DensityConfig(1, bad_epsilon)
     for bad_c in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="c must be positive and finite"):
-            DensityConfig(1, 1.0, c=bad_c)
-        with pytest.raises(ValueError, match="c must be positive and finite"):
             estimate_epsilon(np.zeros((3, 2)), 1, c=bad_c)
     DensityConfig(1, 0.0)  # epsilon zero is allowed
 

@@ -79,7 +79,7 @@ def test_cluster_builds_regions_once_and_no_region_objects(monkeypatch):
     monkeypatch.setattr(pipeline, "build_regions", keep)
     monkeypatch.setattr(pipeline, "Region", refuse)
     data, _ = make_blobs(600, 3, seed=3)
-    # A cap of 2 leaves regions short, so the regrowth runs too.
+    # A cap of 2 makes points over the cap leave regions.
     result = pipeline.cluster(data, pipeline.PipelineConfig(m=4, max_regions_per_point=2))
     assert len(built) == 1 and result.n_clusters > 0
     with pytest.raises(AssertionError, match="a Region was built"):

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +13,6 @@ from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thres
 from dapclust.core import (
     NOISE,
     Dataset,
-    Sphere,
     bounding_sphere,
     squared_distances_to,
     stacked_bounding_sphere,
@@ -85,7 +83,6 @@ def region_invariants(data, regions, cfg):
     n = len(data)
     counts = {i: 0 for i in range(n)}
     for r in regions:
-        assert len(r.member_ids) >= min(cfg.m, n)
         for pid in r.member_ids:
             counts[pid] += 1
             assert r.sphere.contains(data[pid].coords)
@@ -260,44 +257,21 @@ def test_stats_populated():
     assert res.stats.uf_ops > 0
 
 
-def cap_oracle(coords, regions, cap, floor, met=None):
+def cap_oracle(coords, regions, cap):
     """The per-point cap as a walk over member sets and a membership dict:
-    points in ascending id, each dropping its farthest regions (ties: higher
-    region id first) but never its nearest, and sparing regions at the floor
-    while it can. Mutates the regions' member sets and returns how many
-    points dropped other regions than their farthest because of the floor.
-    Appends to ``met``, when given, how many points over the cap had a
-    region at the floor among their farthest."""
+    each point in more than ``cap`` regions drops its farthest (ties: higher
+    region id first) until ``cap`` are left, so never its nearest. Mutates
+    the regions' member sets."""
     membership = {}
     for r in regions:
         for pid in r.member_ids:
             membership.setdefault(pid, []).append(r.id)
-    fired = 0
-    meetings = 0
     for pid in sorted(pid for pid, rids in membership.items() if len(rids) > cap):
         rids = membership[pid]
         centers = [regions[rid].sphere.center for rid in rids]
         sq = squared_distances_to(coords[pid].tolist(), centers)
-        order = [rid for _s, rid in sorted(zip(sq, rids))]
-        nearest = order[0]
-        excess = len(order) - cap
-        farthest = set(order[-excess:])
-        meetings += any(len(regions[rid].member_ids) <= floor for rid in farthest)
-        for protect_floor in (True, False):
-            for rid in reversed(order):
-                if excess == 0:
-                    break
-                if rid == nearest or rid not in rids:
-                    continue
-                if protect_floor and len(regions[rid].member_ids) <= floor:
-                    continue
-                regions[rid].member_ids.discard(pid)
-                rids.remove(rid)
-                excess -= 1
-        fired += farthest != set(order) - set(rids)
-    if met is not None:
-        met.append(meetings)
-    return fired
+        for _s, rid in sorted(zip(sq, rids))[cap:]:
+            regions[rid].member_ids.discard(pid)
 
 
 def tie_splits(coords, centers, pid, rid, regions, cap):
@@ -320,42 +294,38 @@ def tie_splits(coords, centers, pid, rid, regions, cap):
 
 
 def test_cap_matches_set_walk_oracle(monkeypatch):
-    # build_regions with its array cap, and again with the cap replaced by
-    # the set walk on the same (point, region) pairs: the regions, after
-    # regrowth too, must be equal. The blobs are followed by points on a
-    # half-integer lattice, where a point is often the same distance from
-    # two region centres and the region id breaks the tie.
-    array_cap = pipeline._apply_cap
-    fired = []
+    # build_regions against the set walk on the (point, region) pairs that
+    # its range pass found: the regions must be equal. The blobs are followed
+    # by points on a half-integer lattice, where a point is often the same
+    # distance from two region centres and the region id breaks the tie.
     splits = []
-    met = []
     over = []
+    found = []
+    direct = Grid.within
 
-    def oracle_cap(coords, centers, pid, rid, sq, cap, floor):
+    def spy(self, centers, radii):
+        found.append((centers, direct(self, centers, radii)))
+        return found[-1][1]
+
+    monkeypatch.setattr(Grid, "within", spy)
+
+    def compare(data, cfg, canopies=None):
+        if canopies is None:
+            canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
+        found.clear()
+        got = build_regions(data, canopies, cfg)
+        [(centers, (rid, pid, _sq))] = found
         regions = [
             SimpleNamespace(id=r, sphere=SimpleNamespace(center=tuple(c)), member_ids=set())
             for r, c in enumerate(centers.tolist())
         ]
         for p, r in zip(pid.tolist(), rid.tolist()):
             regions[r].member_ids.add(p)
-        over.append(int((np.bincount(pid) > cap).sum()))
-        fired.append(cap_oracle(coords, regions, cap, floor, met))
-        splits.append(tie_splits(coords, centers, pid, rid, regions, cap))
-        pairs = sorted((p, r.id) for r in regions for p in r.member_ids)
-        want = np.array(pairs, dtype=pid.dtype).reshape(-1, 2).T
-        got = array_cap(coords, centers, pid, rid, sq, cap, floor)
-        assert sorted(zip(*(a.tolist() for a in got))) == pairs
-        return want[0], want[1]
-
-    def compare(data, cfg, canopies=None):
-        if canopies is None:
-            canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
-        want = build_regions(data, canopies, cfg)
-        with monkeypatch.context() as mp:
-            mp.setattr(pipeline, "_apply_cap", oracle_cap)
-            got = build_regions(data, canopies, cfg)
-        assert [(r.member_ids, r.sphere, r.epsilon) for r in got] == [
-            (r.member_ids, r.sphere, r.epsilon) for r in want
+        over.append(int((np.bincount(pid) > cfg.cap).sum()))
+        cap_oracle(data.coords, regions, cfg.cap)
+        splits.append(tie_splits(data.coords, centers, pid, rid, regions, cfg.cap))
+        assert [(r.member_ids, r.sphere.center) for r in got] == [
+            (r.member_ids, r.sphere.center) for r in regions
         ]
 
     rng = random.Random(5)
@@ -373,23 +343,18 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
         inputs.append((Dataset.from_coords(rows), 3 + trial % 3, (2, 3)[trial % 2]))
     for data, m, cap in inputs:
         compare(data, PipelineConfig(m=m, max_regions_per_point=cap))
-    assert len(fired) == len(inputs) == 30
-    assert sum(f > 0 for f in fired[:24]) >= 5  # floor protection changed the result
+    assert len(splits) == len(inputs) == 30
     assert all(s > 0 for s in splits[24:])  # the region id decided between equal distances
 
-    # Inputs for the replay of the points whose nearest-first choice meets
-    # a region at the floor. Blobs with ids ascending along x, so that each
-    # replay changes the sizes that the next points see, at caps 1 and 2.
+    # Blobs with ids ascending along x, at caps 1 and 2.
     for seed in range(3):
         blobs, _ = make_blobs(300, 2, seed=seed, dim=2 + seed % 2)
         data = Dataset.from_coords(blobs.coords[np.argsort(blobs.coords[:, 0], kind="stable")])
         for cap in (1, 2):
             compare(data, PipelineConfig(m=4, max_regions_per_point=cap))
-    assert all(k > 0 for k in met[30:])
-    assert all(f > 0 for f in fired[31::2])  # a cap of 1 leaves no choice
     # A dense half-integer lattice with a canopy of a 2 x 2 or 3 x 3 block
-    # at every point and next to no inflation: regions start at or just
-    # above the floor, so most points over the cap meet one there.
+    # at every point and next to no inflation: most points lie in several
+    # small regions, at distances that often tie.
     side = 20
     rows = np.array([(x, y) for x in range(side) for y in range(side)]) / 2
     widths = iter(np.random.default_rng(20).integers(2, 4, size=(side - 1) ** 2).tolist())
@@ -401,168 +366,16 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
             canopies.append(Canopy(x * side + y, frozenset(block)))
     for m, cap in ((5, 2), (6, 3)):
         compare(Dataset.from_coords(rows), PipelineConfig(m=m, c=1e-9, max_regions_per_point=cap), canopies)
-    assert all(2 * k > o and f > 0 for k, o, f in zip(met[-2:], over[-2:], fired[-2:]))
+    assert all(over)  # every input has points over the cap
 
 
-def test_cap_spares_a_region_at_the_floor():
-    # Point 0 lies in three regions under a cap of 2. Its farthest, C, holds
-    # only it and point 4, so C is at the floor (m = 2) and the drop goes to
-    # B instead.
-    rows = [(0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (1.5, 0.0), (-3.0, 0.0)]
-    data = Dataset.from_coords(rows)
-    canopies = [
-        Canopy(0, frozenset({0, 1})),  # A: center (0, 0.5)
-        Canopy(2, frozenset({0, 2})),  # B: center (1, 0), also holds point 3
-        Canopy(4, frozenset({0, 4})),  # C: center (-1.5, 0)
-    ]
-    cfg = PipelineConfig(m=2, c=1e-9, max_regions_per_point=2)
-    regions = build_regions(data, canopies, cfg)
-    assert [r.member_ids for r in regions] == [{0, 1}, {2, 3}, {0, 4}]
-
-
-def test_regrowth_takes_nearest_points_with_cap_budget(monkeypatch):
-    # Three canopies over one 6-point group centred on the origin: under a
-    # cap of 2 the third region sheds four points and must regrow by two.
-    # Every group point is then full, so only the four outliers can join:
-    # ids 6, 8 and 9 at distance 5 from the center and id 7 at 6.
-    group = [(x, 0.0) for x in (-0.25, -0.15, -0.05, 0.05, 0.15, 0.25)]
-    outliers = [(-5.0, 0.0), (6.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
-    data = Dataset.from_coords(group + outliers)
-    canopies = [Canopy(0, frozenset(range(6)))] * 3
-    cfg = PipelineConfig(m=4, max_regions_per_point=2)
-    asked = []
-    direct = Grid.nearest
-
-    def spy(self, centers, k, mask=None):
-        ids, dist = direct(self, centers, k, mask)
-        if mask is not None:
-            asked.append((np.flatnonzero(mask).tolist(), list(zip(ids[0].tolist(), dist[0].tolist()))))
-        return ids, dist
-
-    monkeypatch.setattr(Grid, "nearest", spy)
-    regions = build_regions(data, canopies, cfg)
-    # The two nearest points with cap budget, ties by lower id.
-    assert asked == [([6, 7, 8, 9], [(6, 5.0), (8, 5.0)])]
-    assert regions[2].member_ids == {2, 3, 6, 8}
-    assert regions[2].sphere.radius == 5.0
-
-
-def test_regrowth_stops_when_no_point_has_cap_budget(monkeypatch):
-    # With a cap of 1 every covered point is full once the cap is applied, so
-    # regions left short stay short without measuring more candidates.
-    data, _ = make_blobs(300, 3, seed=29)
-    cfg = PipelineConfig(m=4, max_regions_per_point=1)
-    canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
-    log = []
-    direct_nearest, direct_boxes = Grid.nearest, Grid.boxes
-
-    def nearest(self, centers, k, mask=None):
-        log.append("floor" if mask is None else "regrow")
-        return direct_nearest(self, centers, k, mask)
-
-    def boxes(self, centers, reach):
-        log.append("box")
-        return direct_boxes(self, centers, reach)
-
-    monkeypatch.setattr(Grid, "nearest", nearest)
-    monkeypatch.setattr(Grid, "boxes", boxes)
-    regions = build_regions(data, canopies, cfg)
-    assert any(len(r.member_ids) < cfg.m for r in regions)
-    assert "regrow" in log
-    assert set(log[log.index("regrow") :]) == {"regrow"}  # no box after the cap
-
-
-def test_regrowth_matches_knn_walk_oracle(monkeypatch):
-    # Regions left short by the cap regrow in region order, each from the
-    # nearest points (ties by lower id) that it does not hold and that still
-    # have cap budget. build_regions against that walk over knn_reference,
-    # started from its own regions with the regrowth switched off.
-    direct = Grid.nearest
-
-    def no_regrowth(self, centers, k, mask=None):
-        return direct(self, centers, k if mask is None else 0, mask)
-
-    # Points repeated at a few spots among scattered points: the regions at
-    # the spots lose points to the cap while scattered points keep budget.
-    grew = 0
-    for trial in range(12):
-        rng = np.random.default_rng(trial)
-        dim, m, cap = (2, 3)[trial % 2], 4, (2, 3, 4)[trial % 3]
-        spots = rng.normal(size=(6, dim)) * 3
-        X = np.concatenate([np.repeat(spots, rng.integers(5, 40, 6), axis=0), rng.normal(size=(150, dim)) * 3])
-        data = Dataset.from_coords(X)
-        cfg = PipelineConfig(m=m, max_regions_per_point=cap)
-        canopies = canopy_cluster(data, estimate_thresholds(data, m))
-        got = build_regions(data, canopies, cfg)
-        with monkeypatch.context() as mp:
-            mp.setattr(Grid, "nearest", no_regrowth)
-            want = build_regions(data, canopies, cfg)
-        count = Counter(p for r in want for p in r.member_ids)
-        for r in want:
-            if len(r.member_ids) >= m:
-                continue
-            for pid, d in knn_reference(data, r.sphere.center, len(data)):
-                if len(r.member_ids) == m:
-                    break
-                if pid not in r.member_ids and count[pid] < cap:
-                    r.member_ids.add(pid)
-                    count[pid] += 1
-                    grew += 1
-                    r.sphere = Sphere(r.sphere.center, max(r.sphere.radius, d))
-        assert [(r.member_ids, r.sphere) for r in got] == [(r.member_ids, r.sphere) for r in want]
-    assert grew > 20
-
-
-def test_regrowth_settles_a_contested_point_by_region_id(monkeypatch):
-    # Two groups of six points, 10 apart, each under three identical
-    # canopies: under a cap of 2, regions 2 and 5 each keep two points and
-    # must regrow by two. Only the four points of region 6, held once each,
-    # have cap budget: ids 12-15 at (5, 0), (5, 0.5), (5, -0.5), (5, 1). Both
-    # short regions want 12 and 13 first, which can take one more region
-    # each. Region 2 gets them, and region 5 takes the next two.
-    offsets = (-0.25, -0.15, -0.05, 0.05, 0.15, 0.25)
-    rows = [(x, 0.0) for x in offsets] + [(10.0 + x, 0.0) for x in offsets]
-    rows += [(5.0, 0.0), (5.0, 0.5), (5.0, -0.5), (5.0, 1.0)]
-    data = Dataset.from_coords(rows)
-    canopies = [Canopy(0, frozenset(range(6)))] * 3 + [Canopy(6, frozenset(range(6, 12)))] * 3
-    canopies.append(Canopy(12, frozenset(range(12, 16))))
-    cfg = PipelineConfig(m=4, c=1e-9, max_regions_per_point=2)
-    asked = []
-    direct = Grid.nearest
-
-    def spy(self, centers, k, mask=None):
-        if mask is not None:
-            asked.append((len(centers), np.flatnonzero(mask).tolist()))
-        return direct(self, centers, k, mask)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(Grid, "nearest", spy)
-        got = build_regions(data, canopies, cfg)
-    # One batched round for both regions, and one more for region 5 alone.
-    assert asked == [(2, [12, 13, 14, 15]), (1, [14, 15])]
-    assert got[2].member_ids == {2, 3, 12, 13}
-    assert got[5].member_ids == {8, 9, 14, 15}
-    assert got[5].sphere.radius == math.sqrt(26.0)
-
-    # The sequential walk over knn_reference, from the regions before
-    # regrowth: region 2 first, then region 5.
-    def no_regrowth(self, centers, k, mask=None):
-        return direct(self, centers, k if mask is None else 0, mask)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(Grid, "nearest", no_regrowth)
-        want = build_regions(data, canopies, cfg)
-    count = Counter(p for r in want for p in r.member_ids)
-    assert [r.id for r in want if len(r.member_ids) < cfg.m] == [2, 5]
-    for r in want:
-        for pid, d in knn_reference(data, r.sphere.center, len(data)):
-            if len(r.member_ids) >= cfg.m:
-                break
-            if pid not in r.member_ids and count[pid] < cfg.cap:
-                r.member_ids.add(pid)
-                count[pid] += 1
-                r.sphere = Sphere(r.sphere.center, max(r.sphere.radius, d))
-    assert [(r.member_ids, r.sphere) for r in got] == [(r.member_ids, r.sphere) for r in want]
+def test_five_blobs_give_five_clusters_and_few_tail_clusters():
+    # Regions keep only what lies in their spheres under the cap, with no
+    # growth to m members, so tail canopies make few micro-clusters.
+    small, _ = make_blobs(2000, 5, seed=1)
+    assert cluster(small, PipelineConfig(m=4)).n_clusters == 5
+    large, _ = make_blobs(10000, 5, seed=1)
+    assert cluster(large, PipelineConfig(m=4)).n_clusters <= 11
 
 
 def test_pipeline_builds_no_tree(monkeypatch):
@@ -630,22 +443,19 @@ def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
 def test_region_estimates_match_per_canopy_rule():
     # build_regions gathers canopies of one size into a stack: each region
     # keeps its own canopy's scan radius and sphere, measured on the
-    # members in ascending id. Regrowth may only widen a sphere.
+    # members in ascending id, and inflated by the scan radius.
     data, _ = make_blobs(1500, 4, seed=31)
     cfg = PipelineConfig(m=4, c=1.3)
     canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
     assert len({len(c.member_ids) for c in canopies}) > 5
     regions = build_regions(data, canopies, cfg)
-    unchanged = 0
     for canopy, region in zip(canopies, regions):
         sub = data.coords[sorted(canopy.member_ids)]
         epsilon = estimate_epsilon(sub, cfg.m, cfg.c)
         center, radius = bounding_sphere(sub)
         assert region.epsilon.hex() == epsilon.hex()
         assert region.sphere.center == center
-        assert region.sphere.radius >= radius + epsilon
-        unchanged += region.sphere.radius == radius + epsilon
-    assert unchanged > len(regions) // 2
+        assert region.sphere.radius == radius + epsilon
 
 
 @pytest.mark.parametrize("dim", [2, 8])
