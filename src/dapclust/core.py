@@ -136,6 +136,26 @@ def pair_order(group: np.ndarray, value: np.ndarray, ids: np.ndarray, id_bound: 
     return order[key]
 
 
+def copy_ranks(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the rows with exactly its coordinates (the same
+    bits) in ascending row order, and the first of those rows: (rank,
+    first), both (n,). A row with no copy has rank 0 and is its own first.
+    One stable sort of the rows as raw bytes, one key per row."""
+    n = len(coords)
+    rows = np.ascontiguousarray(coords)
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    head = np.flatnonzero(new)[np.cumsum(new) - 1]  # the group's start, per sorted row
+    rank = np.empty(n, dtype=np.intp)
+    first = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - head
+    first[order] = order[head]
+    return rank, first
+
+
 def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Distance from each row ``rows[i]`` of ``coords`` to its k-th nearest
     other row, for 1 <= k < len(coords).
@@ -333,6 +353,10 @@ class RunStats:
     pipeline's reduce, and m per point (fewer when m >= n) in
     ``naive_cluster``. ``uf_hops`` is always 0; it dates from a union-find
     that no clusterer uses any more, and the benchmark still reads it.
+
+    ``repeat_points`` counts the points past the (m + 1)-th copy of their
+    coordinates, by id, which the pipeline's scan radii and density merge
+    leave out of their distance blocks.
     """
 
     region_count: int = 0
@@ -353,6 +377,7 @@ class RunStats:
     t_total: float = 0.0
     uf_ops: int = 0
     uf_hops: int = 0
+    repeat_points: int = 0
 
 
 @dataclass

@@ -7,7 +7,13 @@
    second coordinate grid, each point kept by at most ``cap`` of its nearest
    regions), and every region is merged by the density rule on its own.
    The regions are merged many at a time, in stacked array passes; a region
-   too large for one distance block is merged in row slabs.
+   too large for one distance block is merged in row slabs. A region of
+   fewer than m points skips the merge. Exact copies of a point cost at
+   most m + 1 rows: the scan radii, spheres and merges leave out each
+   location's copies past its (m + 1)-th by id, which then take the first
+   copy's results. A point is core once m points lie in its ball, and
+   copies share every canopy and region, so m + 1 of them decide what all
+   of them would.
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -35,6 +41,8 @@ from .core import (
     Dataset,
     RunStats,
     Sphere,
+    copy_ranks,
+    kth_distances,
     pair_order,
     stacked_bounding_sphere,
 )
@@ -89,17 +97,20 @@ class Regions(Sequence):
     """The regions of one ``build_regions`` call, as arrays. Region r holds
     the point ids ``members[ptr[r]:ptr[r + 1]]``, ascending; its sphere has
     the centre ``centers[r]`` and the radius ``radii[r]``, and its scan
-    radius is ``epsilon[r]``.
+    radius is ``epsilon[r]``. Point p is the ``copy_rank[p]``-th copy of
+    its coordinates by id, counting from 0 at ``first_copy[p]`` (see
+    ``core.copy_ranks``).
 
     Indexing or iterating gives ``Region`` objects, built on first use and
     then kept, so a change to one of their member sets stays with it. The
     arrays do not follow such changes.
     """
 
-    def __init__(self, ptr, members, centers, radii, epsilon, m: int):
+    def __init__(self, ptr, members, centers, radii, epsilon, m: int, copy_rank, first_copy):
         self.ptr, self.members = ptr, members
         self.centers, self.radii, self.epsilon = centers, radii, epsilon
         self.m = m
+        self.copy_rank, self.first_copy = copy_rank, first_copy
 
     def __len__(self) -> int:
         return len(self.epsilon)
@@ -132,21 +143,73 @@ def _ascending_members(sets, n):
     return key, owner, sizes
 
 
-def _canopy_estimates(coords, canopies, m, c):
+def _surplus(members, owner, copy_rank, first_copy, m):
+    """The surplus copies among memberships: ``members`` holds point ids,
+    ascending within each partition, and ``owner`` the partition of each.
+    In every partition, a member past the (m + 1)-th of its coordinates, by
+    id, is surplus. Returns the surplus memberships' positions and, for
+    each, the position of the first member with its coordinates in its
+    partition.
+
+    Only the memberships of coordinates held by more than m + 1 points (a
+    point of ``copy_rank`` above m) are sorted, by (partition, first copy),
+    stably, so that each location keeps its members in ascending id.
+    """
+    n = len(copy_rank)
+    heavy = np.zeros(n, dtype=bool)
+    heavy[first_copy[copy_rank > m]] = True
+    at = np.flatnonzero(heavy[first_copy[members]])
+    key = owner[at] * n + first_copy[members[at]]
+    order = np.argsort(key, kind="stable")
+    at, key = at[order], key[order]
+    new = np.ones(len(at), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    head = np.flatnonzero(new)[np.cumsum(new) - 1]  # the location's first, per sorted membership
+    past = np.arange(len(at)) - head > m
+    return at[past], at[head[past]]
+
+
+def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     """Each canopy's scan radius, and the centre and radius of its members'
     bounding sphere, as (z,), (z, dim) and (z,) arrays. The members are taken
     in ascending id. Canopies of equal size form one (b, k, dim) stack for
-    ``stacked_epsilon`` and ``stacked_bounding_sphere``."""
-    members, _, sizes = _ascending_members([canopy.member_ids for canopy in canopies], len(coords))
+    ``stacked_epsilon`` and ``stacked_bounding_sphere``.
+
+    A canopy with surplus copies (see ``_surplus``) is measured without
+    them, one canopy at a time: ``kth_distances`` gives every kept member's
+    distance to its m-th nearest other member, each surplus copy takes its
+    location's first member's distance, and the mean runs over the full
+    member row in ascending id, so the scan radius keeps the bits of the
+    rule on all members. This is exact: the canopy keeps m + 1 points of a
+    location it thins, so no member's m nearest others lose a distance, and
+    copies have equal distances. The sphere is the same too, because its
+    far-point passes take the lowest row of each distance, which is never a
+    surplus copy.
+    """
+    members, owner, sizes = _ascending_members([canopy.member_ids for canopy in canopies], len(coords))
     starts = np.cumsum(sizes) - sizes
     eps = np.zeros(len(canopies))
     centers = np.zeros((len(canopies), coords.shape[1]))
     radius = np.zeros(len(canopies))
-    for k in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == k)
+    drop, src = _surplus(members, owner, copy_rank, first_copy, m)
+    thin = np.zeros(len(canopies), dtype=bool)
+    thin[owner[drop]] = True
+    for k in np.unique(sizes[~thin]).tolist():
+        group = np.flatnonzero((sizes == k) & ~thin)
         pts = coords[members[starts[group, None] + np.arange(k)]]
         eps[group] = stacked_epsilon(pts, m, c)
         centers[group], radius[group] = stacked_bounding_sphere(pts)
+    kth = np.zeros(len(members))
+    kept = np.ones(len(members), dtype=bool)
+    kept[drop] = False
+    spans = {t: slice(starts[t], starts[t] + sizes[t]) for t in np.flatnonzero(thin).tolist()}
+    for t, span in spans.items():
+        pts = coords[members[span][kept[span]]]
+        kth[span][kept[span]] = kth_distances(pts, np.arange(len(pts)), m)
+        (centers[t],), (radius[t],) = stacked_bounding_sphere(pts[None])
+    kth[drop] = kth[src]
+    for t, span in spans.items():
+        eps[t] = c * kth[span].mean()
     return eps, centers, radius
 
 
@@ -182,7 +245,13 @@ def build_regions(
     a region; a region may shrink, and may be left empty.
 
     Everything runs on arrays. The scan radii and spheres come from stacked
-    array passes (see ``_canopy_estimates``). A ``Grid`` with cells about a
+    array passes (see ``_canopy_estimates``), which leave out the copies of
+    a point past its (m + 1)-th: one ``copy_ranks`` sort ranks every point
+    among the points with exactly its coordinates, by id, and the result
+    also carries that rank to the map. Copies have equal distances to every
+    point and centre, so they share every canopy the sweep makes and every
+    region the cap leaves, and m + 1 of them decide each scan radius,
+    sphere and merge as all of them would. A ``Grid`` with cells about a
     region radius wide (see ``_region_side``) finds the members of every
     region, with their squared distances, in one chunked pass. The cap puts
     these (point, region) pairs in (point, squared distance, region id) order
@@ -196,10 +265,11 @@ def build_regions(
     n = len(data)
     coords = data.coords
     z = len(canopies)
+    copies = copy_ranks(coords)
     if not canopies:
         none = np.zeros(0)
-        return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m)
-    eps, centers, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c)
+        return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m, *copies)
+    eps, centers, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c, *copies)
     radii = radius + eps
     rids, pids, sq = Grid(coords, _region_side(coords, radii)).within(centers, radii)
     # Each point's pairs, nearest first; it keeps the first cfg.cap of them.
@@ -223,7 +293,7 @@ def build_regions(
     by_region += pids
     by_region.sort()  # by region, then ascending point id
     by_region %= n
-    return Regions(ptr, by_region, centers, radii, eps, cfg.m)
+    return Regions(ptr, by_region, centers, radii, eps, cfg.m, *copies)
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
@@ -240,28 +310,44 @@ def _map_regions(data: Dataset, regions: Regions, m: int):
     inputs, one entry per (region, point) membership, and each region's
     size, scan radius and core count.
 
-    It reads the arrays of ``regions``, not ``Region`` objects. Every
-    non-empty region goes through ``stacked_merge`` with the other regions
-    of its size class, its size rounded up to a multiple of 8.
+    It reads the arrays of ``regions``, not ``Region`` objects. Two kinds of
+    membership skip the merge. A region of fewer than m members cannot hold
+    a core point, so its members come out NOISE and not core. And a region's
+    surplus copies (see ``_surplus``) are left out of its partition; each
+    then takes the label and core flag of its location's first member in
+    the region. This is exact: copies lie at distance 0 from each other and
+    alike from every other point, a ball that reaches a thinned location
+    still counts m + 1 points there, every other count is unchanged, and the
+    lowest id of a component is never a surplus copy.
+
+    The rest of every region goes through ``stacked_merge`` with the other
+    regions of its size class, its size rounded up to a multiple of 8.
     ``stacked_merge`` cuts each class into slabs of at most
     ``_BLOCK_ENTRIES`` distance entries.
     """
     members, epsilon = regions.members, regions.epsilon
-    starts = regions.ptr[:-1]
     sizes = np.diff(regions.ptr)
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    labels = np.empty(len(members), dtype=np.intp)
-    core = np.empty(len(members), dtype=bool)
-    width = (sizes + 7) // 8 * 8
-    for w in np.unique(width[sizes > 0]).tolist():  # the cap may empty a region
+    drop, src = _surplus(members, owner, regions.copy_rank, regions.first_copy, m)
+    merged = sizes[owner] >= m
+    merged[drop] = False
+    at = np.flatnonzero(merged)
+    kept = np.bincount(owner[at], minlength=len(sizes))
+    starts = np.cumsum(kept) - kept
+    labels = np.full(len(members), NOISE, dtype=np.intp)
+    core = np.zeros(len(members), dtype=bool)
+    width = (kept + 7) // 8 * 8
+    for w in np.unique(width[kept > 0]).tolist():
         cls = np.flatnonzero(width == w)
         slot = np.arange(w)
-        at = starts[cls, None] + slot
-        valid = slot < sizes[cls, None]
-        ids = np.where(valid, members[np.minimum(at, len(members) - 1)], -1)
+        valid = slot < kept[cls, None]
+        pos = at[np.minimum(starts[cls, None] + slot, len(at) - 1)]
+        ids = np.where(valid, members[pos], -1)
         cls_labels, cls_core = stacked_merge(data.coords, ids, epsilon[cls], m)
-        labels[at[valid]] = cls_labels[valid]
-        core[at[valid]] = cls_core[valid]
+        labels[pos[valid]] = cls_labels[valid]
+        core[pos[valid]] = cls_core[valid]
+    labels[drop] = labels[src]
+    core[drop] = core[src]
     core_count = np.bincount(owner[core], minlength=len(regions))
     return (members, labels, core), (sizes, epsilon, core_count)
 
@@ -350,6 +436,7 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     st = result.stats
     st.t_reduce = time.perf_counter() - t0
     _summarise_regions(st, *per_region)
+    st.repeat_points = int(np.count_nonzero(regions.copy_rank > cfg.m))
     st.t_thresholds = t_thresholds
     st.t_canopy = t_canopy
     st.t_regions = t_regions

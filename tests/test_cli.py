@@ -267,3 +267,18 @@ def test_report_carries_region_summary(tmp_path):
         "core_p90": "4.9",
         "core_max": "5",
     }
+
+
+def test_report_counts_repeat_points(tmp_path):
+    # The point (1, 0) eight times at m = 2: the five copies past the third
+    # are repeat points. The far group has none.
+    data = tmp_path / "copies.csv"
+    data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 1, 1, 1, 1, 1, 1, 1, 100, 101, 102)))
+    report = tmp_path / "report.txt"
+    args = ["--algorithm", "dapc", "--m", "2", "--input", str(data)]
+    assert run([*args, "--output", str(tmp_path / "labels.csv"), "--report", str(report)]) == 0
+    rep = dict(kv.split("=") for kv in report.read_text().split())
+    assert rep["repeat_points"] == "5"
+    data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 100, 101, 102)))
+    assert run([*args, "--output", str(tmp_path / "labels.csv"), "--report", str(report)]) == 0
+    assert dict(kv.split("=") for kv in report.read_text().split())["repeat_points"] == "0"

@@ -8,6 +8,7 @@ from dapclust.core import (
     Dataset,
     Point,
     Sphere,
+    copy_ranks,
     distance,
     distance_coords,
     load_csv,
@@ -108,6 +109,27 @@ def test_pair_order_is_the_lexsort_permutation():
         zeros += int((sq == 0).sum())
         infs += int(np.isinf(sq).sum())
     assert ties > 100 and zeros > 10 and infs > 100  # the id breaks many ties
+
+
+def test_copy_ranks_match_a_dict_walk():
+    # Each row's rank among the rows of exactly its coordinates, in row
+    # order, and the first of them, against a walk with a dict keyed by the
+    # rows' bytes. Rows are drawn from few values, so most repeat; -0.0 and
+    # 0.0 differ in their bits and count as different coordinates.
+    rng = np.random.default_rng(3)
+    for n, dim in ((0, 2), (1, 3), (7, 1), (300, 2), (500, 3), (200, 8)):
+        rows = rng.choice([0.0, -0.0, 0.5, 1.0, rng.normal()], size=(n, dim))
+        seen = {}
+        want_rank, want_first = [], []
+        for i, row in enumerate(rows):
+            ids = seen.setdefault(row.tobytes(), [])
+            want_rank.append(len(ids))
+            want_first.append(ids[0] if ids else i)
+            ids.append(i)
+        rank, first = copy_ranks(rows)
+        assert rank.tolist() == want_rank
+        assert first.tolist() == want_first
+    assert copy_ranks(np.array([[0.0], [-0.0], [0.0]]))[0].tolist() == [0, 0, 1]
 
 
 def test_distance_triangle_inequality():

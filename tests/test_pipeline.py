@@ -443,19 +443,40 @@ def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
 def test_region_estimates_match_per_canopy_rule():
     # build_regions gathers canopies of one size into a stack: each region
     # keeps its own canopy's scan radius and sphere, measured on the
-    # members in ascending id, and inflated by the scan radius.
-    data, _ = make_blobs(1500, 4, seed=31)
+    # members in ascending id, and inflated by the scan radius. At d = 2
+    # and 8, blobs with one point repeated m + 2 times and one 300 times,
+    # and two far locations repeated as often on their own, shuffled: the
+    # canopies that hold them are measured without the copies past the
+    # (m + 1)-th, and must still give the bits of the rule on all members.
     cfg = PipelineConfig(m=4, c=1.3)
-    canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
-    assert len({len(c.member_ids) for c in canopies}) > 5
-    regions = build_regions(data, canopies, cfg)
-    for canopy, region in zip(canopies, regions):
-        sub = data.coords[sorted(canopy.member_ids)]
-        epsilon = estimate_epsilon(sub, cfg.m, cfg.c)
-        center, radius = bounding_sphere(sub)
-        assert region.epsilon.hex() == epsilon.hex()
-        assert region.sphere.center == center
-        assert region.sphere.radius == radius + epsilon
+    blobs, _ = make_blobs(1500, 4, seed=31)
+    inputs = [blobs]
+    for dim in (2, 8):
+        base = make_blobs(600, 3, seed=dim, dim=dim)[0].coords
+        far = base.max(axis=0) + 100.0
+        rows = np.concatenate([
+            base,
+            np.repeat(base[3:4], cfg.m + 1, axis=0),
+            np.repeat(base[9:10], 299, axis=0),
+            np.repeat(far[None], cfg.m + 2, axis=0),
+            np.repeat(far[None] + 50.0, 300, axis=0),
+        ])
+        inputs.append(Dataset.from_coords(np.random.default_rng(dim).permutation(rows)))
+    for data in inputs:
+        canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
+        assert len({len(c.member_ids) for c in canopies}) > 5
+        regions = build_regions(data, canopies, cfg)
+        thinned = set()
+        for canopy, region in zip(canopies, regions):
+            ids = sorted(canopy.member_ids)
+            sub = data.coords[ids]
+            epsilon = estimate_epsilon(sub, cfg.m, cfg.c)
+            center, radius = bounding_sphere(sub)
+            got = [region.epsilon, *region.sphere.center, region.sphere.radius]
+            want = [epsilon, *center, radius + epsilon]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            thinned |= {int(regions.first_copy[p]) for p in ids if regions.copy_rank[p] > cfg.m}
+        assert len(thinned) == (0 if data is blobs else 4)  # every repeated location was thinned
 
 
 @pytest.mark.parametrize("dim", [2, 8])
@@ -525,8 +546,18 @@ def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(pipeline, "build_regions", keep)
+    merged = []
+    real_merge = pipeline.stacked_merge
+
+    def count(coords, ids, epsilon, m):
+        merged.extend((ids >= 0).sum(axis=1).tolist())
+        return real_merge(coords, ids, epsilon, m)
+
+    monkeypatch.setattr(pipeline, "stacked_merge", count)
     cfg = PipelineConfig(m=4)
     got = cluster(data, cfg)
+    assert got.stats.repeat_points > 0  # the oracle below covers the thinned merge
+    assert min(merged) >= cfg.m  # smaller regions cannot hold a core point and skip the merge
     [regions] = built
     sizes = [len(r.member_ids) for r in regions]
     assert max(sizes) > 1024
@@ -537,6 +568,35 @@ def test_batched_map_matches_map_step_per_region(dim, monkeypatch):
     assert got.labels == want.labels
     assert got.core_flags == want.core_flags
     assert got.stats.uf_ops == want.stats.uf_ops
+
+
+@pytest.mark.parametrize("n, dim", [(20_000, 2), (3_000, 8)])
+def test_identical_points_cost_at_most_m_plus_one_rows(n, dim, monkeypatch):
+    # n copies of one point form one cluster, labelled 0, of core points.
+    # The scan radius, the sphere and the merge see at most m + 1 rows of
+    # any partition, so the copies cost linear time, not quadratic.
+    m = 4
+    widths = []
+
+    def spy(name, rows_of):
+        real = getattr(pipeline, name)
+
+        def wrapped(*args):
+            widths.append((name, rows_of(*args)))
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    spy("stacked_merge", lambda coords, ids, epsilon, m: int((ids >= 0).sum(axis=1).max()))
+    spy("stacked_epsilon", lambda pts, m, c: pts.shape[1])
+    spy("kth_distances", lambda coords, rows, k: len(coords))
+    spy("stacked_bounding_sphere", lambda pts: pts.shape[1])
+    res = cluster(Dataset.from_coords(np.full((n, dim), 0.5)), PipelineConfig(m=m))
+    assert res.labels == [0] * n
+    assert res.core_flags == set(range(n))
+    assert res.stats.repeat_points == n - (m + 1)
+    assert {name for name, _ in widths} >= {"stacked_merge", "kth_distances", "stacked_bounding_sphere"}
+    assert max(w for _, w in widths) <= m + 1
 
 
 def test_sparse_fold_matches_union_find():

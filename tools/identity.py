@@ -1,0 +1,155 @@
+"""Digests of what ``cluster`` decides on a fixed set of inputs, one JSON
+line per input, so that two checkouts can be compared with ``diff``.
+
+Usage, from the repository root:
+
+    python3 tools/identity.py > identity.jsonl
+    python3 tools/identity.py --adversarial > identity.jsonl
+
+The inputs are the benchmark's (seeds 1-10 of ``blobs_w2``,
+``mixed_hotspots`` and ``blobs_d8``, made by ``bench/inputs.py`` exactly as
+``bench/run.py`` makes them) and those of acceptance criteria 4, 5, 6 and 8.
+``--adversarial`` adds blobs rounded to a 0.5 grid, identical points in 2-D
+and 8-D, and the d = 8 copies input of
+``test_batched_map_matches_map_step_per_region``; at some versions of the
+package these take tens of seconds.
+
+Each line holds the input's name, its m, and sha256 digests of: the
+canopies (seed and ascending members), the region arrays (``ptr`` and
+``members``, and ``centers``, ``radii`` and ``epsilon`` as float hex), the
+labels, the core flags, ``uf_ops`` and the ``RunStats`` region summary. The
+canopies and regions come from ``estimate_thresholds``, ``canopy_cluster``
+and ``build_regions`` called on their own; the rest from one ``cluster``
+call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import inputs  # noqa: E402  (bench/inputs.py, read only)
+
+from dapclust import (  # noqa: E402
+    Dataset,
+    PipelineConfig,
+    build_regions,
+    canopy_cluster,
+    cluster,
+    estimate_thresholds,
+    make_blobs,
+    make_bridge,
+    make_density_pair,
+)
+
+SUMMARY = (
+    "region_count",
+    "max_region_size",
+    "region_size_p50",
+    "region_size_p90",
+    "epsilon_p50",
+    "epsilon_p90",
+    "epsilon_max",
+    "region_core_p50",
+    "region_core_p90",
+    "region_core_max",
+)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def hexes(arr) -> list[str]:
+    return [float(v).hex() for v in np.asarray(arr, dtype=float).ravel().tolist()]
+
+
+def bench_inputs():
+    """The benchmark's inputs of seeds 1-10: name, coordinates, m."""
+    workloads = (
+        ("blobs_w2", 1, lambda s: inputs.blobs(s, 10_000, 5, 2)),
+        ("mixed_hotspots", 2, lambda s: inputs.mixed_hotspots(s, 4_000, 250)),
+        ("blobs_d8", 2, lambda s: inputs.blobs(s, 1_800, 5, 8)),
+    )
+    for name, copies, make in workloads:
+        for seed in range(1, 11):
+            for i, child in enumerate(np.random.SeedSequence(seed).spawn(copies)):
+                yield f"{name}/{seed}/{i}", make(child)[0], 4
+
+
+def criteria_inputs():
+    blobs42 = make_blobs(10_000, 5, seed=42, spread=1.0, separation=40.0)[0]
+    yield "criterion4/blobs42", blobs42.coords, 3
+    yield "criterion5/bridge", make_bridge(n_per_blob=50, j=2, seed=0)[0].coords, 3
+    for scale in (1.0, 10.0):
+        yield f"criterion6/pair{scale:g}", make_density_pair(scale)[0].coords, 4
+    yield "criterion8/blobs88", make_blobs(2_000, 4, seed=88)[0].coords, 3
+    yield "criterion8/pair1", make_density_pair(1.0)[0].coords, 3
+
+
+def adversarial_inputs():
+    blobs = make_blobs(6_000, 5, seed=1)[0].coords
+    yield "adversarial/rounded_blobs", np.round(blobs * 2) / 2, 4
+    yield "adversarial/identical_2d", np.zeros((20_000, 2)), 4
+    yield "adversarial/identical_8d", np.ones((3_000, 8)), 4
+    dim = 8
+    blobs = make_blobs(1200, 3, seed=dim, dim=dim)[0].coords
+    rng = np.random.default_rng(dim)
+    copies = np.concatenate([
+        blobs,
+        blobs[11] + rng.normal(size=(300, dim)) * 0.02,
+        blobs[7] + 50.0 + rng.normal(size=(1030, dim)) * 0.01,
+        np.repeat(blobs[5:6], 1100, axis=0),
+    ])
+    yield "adversarial/copies_d8", copies, 4
+
+
+def line(name: str, coords, m: int) -> dict:
+    data = Dataset.from_coords(coords)
+    cfg = PipelineConfig(m=m)
+    canopies = canopy_cluster(data, estimate_thresholds(data, m))
+    regions = build_regions(data, canopies, cfg)
+    result = cluster(data, cfg)
+    st = result.stats
+    return {
+        "input": name,
+        "m": m,
+        "canopies": digest([[c.center_id, sorted(c.member_ids)] for c in canopies]),
+        "regions": digest([
+            regions.ptr.tolist(),
+            regions.members.tolist(),
+            hexes(regions.centers),
+            hexes(regions.radii),
+            hexes(regions.epsilon),
+        ]),
+        "labels": digest(result.labels),
+        "core": digest(sorted(result.core_flags)),
+        "uf_ops": st.uf_ops,
+        "summary": digest([float(getattr(st, f)).hex() for f in SUMMARY]),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--adversarial", action="store_true", help="add the adversarial inputs")
+    args = ap.parse_args(argv)
+    sources = [bench_inputs(), criteria_inputs()]
+    if args.adversarial:
+        sources.append(adversarial_inputs())
+    for source in sources:
+        for name, coords, m in source:
+            print(json.dumps(line(name, coords, m)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
