@@ -13,7 +13,7 @@ for the benchmark trace; no clusterer uses it.
 """
 
 from .baselines import KMeansConfig, dbscan_reference, kmeans, knn_reference
-from .canopy import Canopy, CanopyConfig, canopy_cluster, cheap_distance, estimate_thresholds
+from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from .core import (
     NOISE,
     ClusterResult,
@@ -56,7 +56,6 @@ __all__ = [
     "adjusted_rand_index",
     "build_regions",
     "canopy_cluster",
-    "cheap_distance",
     "cluster",
     "dbscan_reference",
     "density_cluster",

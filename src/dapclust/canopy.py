@@ -38,39 +38,33 @@ class Canopy:
     member_ids: frozenset[int]
 
 
-def cheap_distance(a, b) -> float:
-    """L-infinity distance, the sweep's approximate metric.
-
-    Strictly cheaper per pair than the Euclidean metric (no multiplications)
-    and bounds it from below.
-    """
-    return max(abs(x - y) for x, y in zip(a, b))
+def sample_kth_distances(coords: np.ndarray, m: int) -> np.ndarray:
+    """Distance to the m-th nearest other row (the farthest when there are
+    fewer) of every ceil(n/1000)-th row of the (n, dim) array ``coords`` by
+    id, n >= 2: the thresholds' deterministic sample, every row up to
+    n = 1000. ``kth_distances`` measures the sample against every row, so
+    each distance has the bits a knn query gives it, at a cost of
+    O(sample * n), with the sample near 1,000 rows."""
+    n = len(coords)
+    return kth_distances(coords[None], m, np.arange(0, n, math.ceil(n / 1000)))[0]
 
 
 def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     """Derive canopy thresholds from the data.
 
-    t2 is the mean distance to the m-th nearest other point (the farthest
-    when there are fewer) over a deterministic sample (every ceil(n/1000)-th
-    point by id, so every point up to n = 1000); t1 = 3 * t2. Degenerate
-    inputs (all points identical, or fewer than two points) fall back to a
-    tiny positive t2.
-
-    The distances come from ``kth_distances``, which measures row blocks of
-    the sample against every row, so each has the bits a knn query gives it.
-    The mean is summed in sample order, one distance at a time. The cost is
-    O(sample * n), with the sample near 1,000 points.
+    t2 is the mean of ``sample_kth_distances``, summed in sample order one
+    distance at a time; t1 = 3 * t2. Degenerate inputs (all points
+    identical, or fewer than two points) fall back to a tiny positive t2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = len(data)
-    if n < 2:
+    if len(data) < 2:
         return CanopyConfig(3 * _FALLBACK_T2, _FALLBACK_T2)
-    sample = np.arange(0, n, math.ceil(n / 1000))
+    kth = sample_kth_distances(data.coords, m)
     total = 0.0
-    for dist in kth_distances(data.coords, sample, min(m, n - 1)).tolist():
+    for dist in kth.tolist():
         total += dist
-    t2 = total / len(sample)
+    t2 = total / len(kth)
     if t2 == 0.0:
         return CanopyConfig(3e-9, _FALLBACK_T2)
     return CanopyConfig(3.0 * t2, t2)
@@ -80,10 +74,11 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     """Run the standard canopy sweep.
 
     The candidate pool starts as all ids ascending. Repeatedly the lowest
-    remaining id seeds a canopy of every candidate within t1 (cheap metric),
-    and candidates within t2 leave the pool. Points may belong to several
-    canopies; every point belongs to at least one. Seed selection by id makes
-    the output identical across runs and worker counts.
+    remaining id seeds a canopy of every candidate within t1 in the cheap
+    metric, the L-infinity distance, which bounds the Euclidean one from
+    below, and candidates within t2 leave the pool. Points may belong to
+    several canopies; every point belongs to at least one. Seed selection by
+    id makes the output identical across runs and worker counts.
 
     Each seed tests only the points of its box of half-width t1 in a grid of
     cells t1 wide, which holds every point within t1 of it (see

@@ -292,7 +292,7 @@ def epsilon_grid_report(named_datasets, m: int, grid_size: int = 20, out=None):
     hi = 0.0
     for _name, data, _truth in named_datasets:
         coords = data.coords
-        lo = min(lo, float(kth_distances(coords, np.arange(len(coords)), 1).min()))
+        lo = min(lo, float(kth_distances(coords[None], 1).min()))
         hi = max(hi, distance_coords(coords.max(axis=0), coords.min(axis=0)))
     grid = np.geomspace(lo, hi, grid_size)
     names = [name for name, _d, _t in named_datasets]

@@ -15,8 +15,8 @@ NOISE = -1
 
 # Array passes that would build one large distance block split it into
 # pieces of at most this many entries (one row at the least), which keeps
-# their temporaries small: the row blocks of ``kth_distances`` and the
-# partition batches and row slabs of the density merge.
+# their temporaries small: the partition batches and row slabs of
+# ``kth_distances`` and of the density merge, and the chunks of grid pairs.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -156,21 +156,35 @@ def copy_ranks(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, first
 
 
-def kth_distances(coords: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each row ``rows[i]`` of ``coords`` to its k-th nearest
-    other row, for 1 <= k < len(coords).
+def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
+    """Distance from each row of every partition of the (b, k, dim) stack
+    ``pts`` to its m-th nearest other row of the partition, or its farthest
+    when k <= m, as a (b, k) array; 0 when k <= 1. ``rows``, when given,
+    picks the rows measured, the same in every partition, and the result is
+    (b, len(rows)).
 
-    Blocks of the rows are measured against every row with
+    The package's one k-th-neighbour routine: the scan radii, the canopy
+    thresholds and the naive clusterer's grid all measure with it. The
+    chosen rows are measured against their whole partition with
     ``squared_distances``, so each distance has the bits of the scalar rule,
-    and no block holds more than ``_BLOCK_ENTRIES`` entries.
+    in blocks of at most ``_BLOCK_ENTRIES`` entries: whole partitions at a
+    time when they fit, else row slabs of one partition.
     """
-    out = np.empty(len(rows))
-    step = max(1, _BLOCK_ENTRIES // len(coords))
-    for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        sq = squared_distances(coords[block], coords)
-        sq[np.arange(len(block)), block] = np.inf  # the point itself
-        out[lo : lo + step] = np.sqrt(np.partition(sq, k - 1, axis=1)[:, k - 1])
+    b, k = pts.shape[:2]
+    rows = np.arange(k) if rows is None else np.asarray(rows)
+    out = np.zeros((b, len(rows)))
+    if k <= 1:
+        return out
+    kth = min(m, k - 1) - 1
+    slab = max(1, min(len(rows), _BLOCK_ENTRIES // k))
+    parts = max(1, _BLOCK_ENTRIES // (slab * k))
+    for p in range(0, b, parts):
+        group = pts[p : p + parts]
+        for lo in range(0, len(rows), slab):
+            block = rows[lo : lo + slab]
+            sq = squared_distances(group[:, block], group)
+            sq[:, np.arange(len(block)), block] = np.inf  # the point itself
+            out[p : p + parts, lo : lo + slab] = np.sqrt(np.partition(sq, kth, axis=2)[..., kth])
     return out
 
 

@@ -9,13 +9,13 @@ The neighbours come from one batched query on the pipeline's coordinate
 grid, and the links fold by the pipeline's label propagation.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClusterResult, Dataset, RunStats, kth_distances
+from .canopy import sample_kth_distances
+from .core import ClusterResult, Dataset, RunStats
 from .density import _lowest_linked
 from .grid import Grid
 
@@ -40,17 +40,16 @@ def naive_cluster(data: Dataset, cfg: NaiveConfig) -> ClusterResult:
     everything reachable.
 
     The grid's cells are as wide as the median distance to the m-th nearest
-    other point over the canopy thresholds' sample (every ceil(n/1000)-th
-    point), or their mean when most of those points have m copies. The
-    thresholds' mean alone would let one far outlier put every other point
-    in one cell, and make the query quadratic.
+    other point over the canopy thresholds' sample (``sample_kth_distances``),
+    or their mean when most of those points have m copies. The thresholds'
+    mean alone would let one far outlier put every other point in one cell,
+    and make the query quadratic.
     """
     start = time.perf_counter()
     n = len(data)
     if n < 2:
         return ClusterResult(list(range(n)), set(), RunStats())
-    sample = np.arange(0, n, math.ceil(n / 1000))
-    kth = kth_distances(data.coords, sample, min(cfg.m, n - 1))
+    kth = sample_kth_distances(data.coords, cfg.m)
     side = float(np.median(kth)) or float(kth.mean()) or 1e-9
     ids, _ = Grid(data.coords, side).nearest(data.coords, cfg.m + 1)
     # Drop each row's own id; copies at distance 0 with lower ids can push it

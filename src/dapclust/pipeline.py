@@ -46,14 +46,7 @@ from .core import (
     pair_order,
     stacked_bounding_sphere,
 )
-from .density import (
-    DensityConfig,
-    LocalLabeling,
-    _lowest_linked,
-    density_cluster,
-    stacked_epsilon,
-    stacked_merge,
-)
+from .density import DensityConfig, LocalLabeling, _lowest_linked, density_cluster, stacked_merge
 from .grid import Grid
 
 
@@ -172,44 +165,43 @@ def _surplus(members, owner, copy_rank, first_copy, m):
 def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     """Each canopy's scan radius, and the centre and radius of its members'
     bounding sphere, as (z,), (z, dim) and (z,) arrays. The members are taken
-    in ascending id. Canopies of equal size form one (b, k, dim) stack for
-    ``stacked_epsilon`` and ``stacked_bounding_sphere``.
+    in ascending id.
 
-    A canopy with surplus copies (see ``_surplus``) is measured without
-    them, one canopy at a time: ``kth_distances`` gives every kept member's
-    distance to its m-th nearest other member, each surplus copy takes its
-    location's first member's distance, and the mean runs over the full
-    member row in ascending id, so the scan radius keeps the bits of the
-    rule on all members. This is exact: the canopy keeps m + 1 points of a
-    location it thins, so no member's m nearest others lose a distance, and
-    copies have equal distances. The sphere is the same too, because its
-    far-point passes take the lowest row of each distance, which is never a
-    surplus copy.
+    Each canopy is measured without its surplus copies (see ``_surplus``):
+    canopies of equal kept size form one (b, k, dim) stack for
+    ``kth_distances`` and ``stacked_bounding_sphere``. Every kept member
+    gets its distance to its m-th nearest other member, each surplus copy
+    takes its location's first member's distance, and the scan radius is c
+    times the mean over the full member row in ascending id, taken for the
+    canopies of equal full size together, so it keeps the bits of
+    ``estimate_epsilon`` on all members. This is exact: a canopy keeps
+    m + 1 points of a location it thins, so no member's m nearest others
+    lose a distance, and copies have equal distances. The sphere is the
+    same too, because its far-point passes take the lowest row of each
+    distance, which is never a surplus copy.
     """
     members, owner, sizes = _ascending_members([canopy.member_ids for canopy in canopies], len(coords))
-    starts = np.cumsum(sizes) - sizes
-    eps = np.zeros(len(canopies))
-    centers = np.zeros((len(canopies), coords.shape[1]))
-    radius = np.zeros(len(canopies))
     drop, src = _surplus(members, owner, copy_rank, first_copy, m)
-    thin = np.zeros(len(canopies), dtype=bool)
-    thin[owner[drop]] = True
-    for k in np.unique(sizes[~thin]).tolist():
-        group = np.flatnonzero((sizes == k) & ~thin)
-        pts = coords[members[starts[group, None] + np.arange(k)]]
-        eps[group] = stacked_epsilon(pts, m, c)
-        centers[group], radius[group] = stacked_bounding_sphere(pts)
-    kth = np.zeros(len(members))
     kept = np.ones(len(members), dtype=bool)
     kept[drop] = False
-    spans = {t: slice(starts[t], starts[t] + sizes[t]) for t in np.flatnonzero(thin).tolist()}
-    for t, span in spans.items():
-        pts = coords[members[span][kept[span]]]
-        kth[span][kept[span]] = kth_distances(pts, np.arange(len(pts)), m)
-        (centers[t],), (radius[t],) = stacked_bounding_sphere(pts[None])
+    at = np.flatnonzero(kept)
+    kept_sizes = np.bincount(owner[at], minlength=len(canopies))
+    starts = np.cumsum(kept_sizes) - kept_sizes
+    kth = np.empty(len(members))
+    centers = np.empty((len(canopies), coords.shape[1]))
+    radius = np.empty(len(canopies))
+    for k in np.unique(kept_sizes).tolist():
+        group = np.flatnonzero(kept_sizes == k)
+        pos = at[starts[group, None] + np.arange(k)]
+        pts = coords[members[pos]]
+        kth[pos] = kth_distances(pts, m)
+        centers[group], radius[group] = stacked_bounding_sphere(pts)
     kth[drop] = kth[src]
-    for t, span in spans.items():
-        eps[t] = c * kth[span].mean()
+    eps = np.empty(len(canopies))
+    starts = np.cumsum(sizes) - sizes
+    for k in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == k)
+        eps[group] = c * kth[starts[group, None] + np.arange(k)].mean(axis=1)
     return eps, centers, radius
 
 
@@ -244,14 +236,15 @@ def build_regions(
     and every point lies inside its own canopy's sphere, so every point keeps
     a region; a region may shrink, and may be left empty.
 
-    Everything runs on arrays. The scan radii and spheres come from stacked
-    array passes (see ``_canopy_estimates``), which leave out the copies of
-    a point past its (m + 1)-th: one ``copy_ranks`` sort ranks every point
-    among the points with exactly its coordinates, by id, and the result
-    also carries that rank to the map. Copies have equal distances to every
-    point and centre, so they share every canopy the sweep makes and every
-    region the cap leaves, and m + 1 of them decide each scan radius,
-    sphere and merge as all of them would. A ``Grid`` with cells about a
+    Everything runs on arrays. The scan radii and spheres come from
+    ``kth_distances`` and ``stacked_bounding_sphere`` on stacks of the
+    canopies of one size, with the copies of a point past its (m + 1)-th
+    left out (see ``_canopy_estimates``): one ``copy_ranks`` sort ranks
+    every point among the points with exactly its coordinates, by id, and
+    the result also carries that rank to the map. Copies have equal
+    distances to every point and centre, so they share every canopy the
+    sweep makes and every region the cap leaves, and m + 1 of them decide
+    each scan radius, sphere and merge as all of them would. A ``Grid`` with cells about a
     region radius wide (see ``_region_side``) finds the members of every
     region, with their squared distances, in one chunked pass. The cap puts
     these (point, region) pairs in (point, squared distance, region id) order

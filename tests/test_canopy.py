@@ -8,16 +8,16 @@ from test_imports import imported_names
 
 import dapclust.canopy as canopy
 from dapclust.baselines import knn_reference
-from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, cheap_distance, estimate_thresholds
+from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import Dataset
+
+
+def linf(a, b):
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def sweep_oracle(coords, t1, t2):
     """Independent re-execution of the sweep with its own metric loop."""
-
-    def linf(a, b):
-        return max(abs(x - y) for x, y in zip(a, b))
-
     candidates = list(range(len(coords)))
     canopies = []
     while candidates:
@@ -48,10 +48,6 @@ def test_config_validation():
         CanopyConfig(-1.0, -2.0)
     with pytest.raises(ValueError):
         CanopyConfig(float("inf"), 1.0)
-
-
-def test_cheap_distance_is_linf():
-    assert cheap_distance((0.0, 0.0), (3.0, -4.0)) == 4.0
 
 
 def test_thresholds_unit_grid():
@@ -141,12 +137,12 @@ def test_coverage_and_seed_separation():
         covered |= c.member_ids
         assert c.center_id in c.member_ids
         for i in c.member_ids:
-            assert cheap_distance(coords[c.center_id], coords[i]) <= cfg.t1
+            assert linf(coords[c.center_id], coords[i]) <= cfg.t1
     assert covered == set(range(120))
     seeds = [c.center_id for c in out]
     for i, a in enumerate(seeds):
         for b in seeds[i + 1 :]:
-            assert cheap_distance(coords[a], coords[b]) > cfg.t2
+            assert linf(coords[a], coords[b]) > cfg.t2
 
 
 def test_overlap_is_possible():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from dapclust.core import (
     NOISE,
     Dataset,
     bounding_sphere,
+    kth_distances,
     squared_distances_to,
     stacked_bounding_sphere,
 )
@@ -23,7 +25,6 @@ from dapclust.density import (
     _lowest_linked,
     density_cluster,
     estimate_epsilon,
-    stacked_epsilon,
 )
 from dapclust.naive import NaiveConfig, naive_cluster
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
@@ -394,17 +395,17 @@ def test_pipeline_builds_no_tree(monkeypatch):
 
 
 def scalar_estimates(rows, m, c):
-    """The scan radius and the bounding sphere of one partition (a list of
-    coordinate tuples) by the scalar rule: each row's m-th nearest other row
-    (the farthest when there are fewer), averaged by numpy's ``mean``; then
+    """Each row's k-th distance, the scan radius and the bounding sphere of
+    one partition (a list of coordinate tuples) by the scalar rule: each
+    row's distance to its m-th nearest other row (the farthest when there
+    are fewer, 0 when there is none), averaged by numpy's ``mean``; then
     two far-point passes from the first row, ties to the lowest row."""
     k = len(rows)
     kth = []
     for i, row in enumerate(rows):
         dist = sorted(math.sqrt(s) for s in squared_distances_to(row, rows[:i] + rows[i + 1 :]))
-        if dist:
-            kth.append(dist[min(m, k - 1) - 1])
-    epsilon = c * float(np.mean(kth)) if kth else 0.0
+        kth.append(dist[min(m, k - 1) - 1] if dist else 0.0)
+    epsilon = c * float(np.mean(kth))
 
     def farthest(p):
         sq = squared_distances_to(p, rows)
@@ -413,30 +414,44 @@ def scalar_estimates(rows, m, c):
     p1 = farthest(rows[0])
     p2 = farthest(p1)
     center = tuple((a + b) / 2.0 for a, b in zip(p1, p2))
-    return epsilon, center, math.sqrt(max(squared_distances_to(center, rows)))
+    return kth, epsilon, center, math.sqrt(max(squared_distances_to(center, rows)))
 
 
 @pytest.mark.parametrize("dim", [2, 8])
 def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
     # Stacks of equal-size partitions against the scalar rule, partition by
-    # partition, to the last bit. The sizes cross numpy's pairwise-sum blocks
-    # (8 and 128 terms) and the row blocks above 256 rows; five partitions of
-    # 128 or 129 rows fill more than one 2**16-entry group. Every second
-    # partition is three points repeated.
+    # partition, to the last bit: every row's k-th distance, the scan radius
+    # as c times their mean (taken over the stack, as the pipeline does,
+    # and by estimate_epsilon), and the sphere. The sizes cross numpy's
+    # pairwise-sum blocks (8 and 128 terms) and the row slabs above 256
+    # rows; five partitions of 128 or 129 rows fill more than one
+    # 2**16-entry group. Every second partition is three points repeated.
+    # A subset of the rows, in shuffled order, gives the same distances.
     m, c = 4, 0.75
     rng = np.random.default_rng(dim)
     for k in (1, 2, m, m + 1, 8, 9, 128, 129, 300):
         b = 2 if k > 256 else 5
         pts = rng.normal(size=(b, k, dim))
         pts[1::2] = pts[1::2, rng.integers(0, min(3, k), size=k)]
-        epsilon = stacked_epsilon(pts, m, c)
+        kth = kth_distances(pts, m)
+        rows = rng.permutation(k)[: max(1, k - 3)]
+        assert [v.hex() for v in kth_distances(pts, m, rows).ravel().tolist()] == [
+            v.hex() for v in kth[:, rows].ravel().tolist()
+        ]
+        epsilon = c * kth.mean(axis=1)
         centers, radii = stacked_bounding_sphere(pts)
         for p in range(b):
-            got = [float(epsilon[p]), *centers[p].tolist(), float(radii[p])]
-            want_eps, want_center, want_radius = scalar_estimates(
+            got = [
+                *kth[p].tolist(),
+                float(epsilon[p]),
+                estimate_epsilon(pts[p], m, c),
+                *centers[p].tolist(),
+                float(radii[p]),
+            ]
+            want_kth, want_eps, want_center, want_radius = scalar_estimates(
                 [tuple(row) for row in pts[p].tolist()], m, c
             )
-            want = [want_eps, *want_center, want_radius]
+            want = [*want_kth, want_eps, want_eps, *want_center, want_radius]
             assert [v.hex() for v in got] == [v.hex() for v in want], (k, p)
 
 
@@ -588,8 +603,7 @@ def test_identical_points_cost_at_most_m_plus_one_rows(n, dim, monkeypatch):
         monkeypatch.setattr(pipeline, name, wrapped)
 
     spy("stacked_merge", lambda coords, ids, epsilon, m: int((ids >= 0).sum(axis=1).max()))
-    spy("stacked_epsilon", lambda pts, m, c: pts.shape[1])
-    spy("kth_distances", lambda coords, rows, k: len(coords))
+    spy("kth_distances", lambda pts, m: pts.shape[1])
     spy("stacked_bounding_sphere", lambda pts: pts.shape[1])
     res = cluster(Dataset.from_coords(np.full((n, dim), 0.5)), PipelineConfig(m=m))
     assert res.labels == [0] * n
@@ -597,6 +611,37 @@ def test_identical_points_cost_at_most_m_plus_one_rows(n, dim, monkeypatch):
     assert res.stats.repeat_points == n - (m + 1)
     assert {name for name, _ in widths} >= {"stacked_merge", "kth_distances", "stacked_bounding_sphere"}
     assert max(w for _, w in widths) <= m + 1
+
+
+def test_thinned_canopies_are_stacked_by_kept_size(monkeypatch):
+    # Blobs rounded to a 0.5 grid: 266 of 566 canopies hold a location more
+    # than m + 1 times. Canopies are measured without the copies past the
+    # (m + 1)-th, stacked by the size that is left, so kth_distances runs
+    # once per distinct kept size, not once per thinned canopy, and no call
+    # sees more than m + 1 copies of a location.
+    m = 4
+    data = Dataset.from_coords(np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2)
+    canopies = canopy_cluster(data, estimate_thresholds(data, m))
+    kept_sizes, thinned = set(), 0
+    for canopy in canopies:
+        copies = Counter(data.coords[i].tobytes() for i in canopy.member_ids)
+        kept = sum(min(count, m + 1) for count in copies.values())
+        kept_sizes.add(kept)
+        thinned += kept < len(canopy.member_ids)
+    assert thinned > 0.4 * len(canopies)
+    calls = []
+    real = pipeline.kth_distances
+
+    def spy(pts, m):
+        calls.append(pts)
+        return real(pts, m)
+
+    monkeypatch.setattr(pipeline, "kth_distances", spy)
+    build_regions(data, canopies, PipelineConfig(m=m))
+    assert sorted(pts.shape[1] for pts in calls) == sorted(kept_sizes)
+    for pts in calls:
+        for part in pts:
+            assert max(Counter(row.tobytes() for row in part).values()) <= m + 1
 
 
 def test_sparse_fold_matches_union_find():

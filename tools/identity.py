@@ -14,13 +14,16 @@ and 8-D, and the d = 8 copies input of
 ``test_batched_map_matches_map_step_per_region``; at some versions of the
 package these take tens of seconds.
 
-Each line holds the input's name, its m, and sha256 digests of: the
-canopies (seed and ascending members), the region arrays (``ptr`` and
-``members``, and ``centers``, ``radii`` and ``epsilon`` as float hex), the
-labels, the core flags, ``uf_ops`` and the ``RunStats`` region summary. The
-canopies and regions come from ``estimate_thresholds``, ``canopy_cluster``
-and ``build_regions`` called on their own; the rest from one ``cluster``
-call.
+Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
+t2 as float hex at m = 3, 4 and 8, and sha256 digests of: the canopies
+(seed and ascending members), the region arrays (``ptr`` and ``members``,
+and ``centers``, ``radii`` and ``epsilon`` as float hex), the labels, the
+core flags, ``uf_ops`` and the ``RunStats`` region summary. The canopies
+and regions come from ``estimate_thresholds``, ``canopy_cluster`` and
+``build_regions`` called on their own; the rest from one ``cluster`` call.
+On the benchmark and criteria inputs the line also digests the labels of
+``naive_cluster`` at the input's m; the adversarial inputs leave it out,
+because the naive clusterer is quadratic on identical points.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import inputs  # noqa: E402  (bench/inputs.py, read only)
 
 from dapclust import (  # noqa: E402
     Dataset,
+    NaiveConfig,
     PipelineConfig,
     build_regions,
     canopy_cluster,
@@ -49,6 +53,7 @@ from dapclust import (  # noqa: E402
     make_blobs,
     make_bridge,
     make_density_pair,
+    naive_cluster,
 )
 
 SUMMARY = (
@@ -113,16 +118,21 @@ def adversarial_inputs():
     yield "adversarial/copies_d8", copies, 4
 
 
-def line(name: str, coords, m: int) -> dict:
+def line(name: str, coords, m: int, naive: bool) -> dict:
     data = Dataset.from_coords(coords)
+    thresholds = {}
+    for mt in (3, 4, 8):
+        t = estimate_thresholds(data, mt)
+        thresholds[mt] = [t.t1.hex(), t.t2.hex()]
     cfg = PipelineConfig(m=m)
     canopies = canopy_cluster(data, estimate_thresholds(data, m))
     regions = build_regions(data, canopies, cfg)
     result = cluster(data, cfg)
     st = result.stats
-    return {
+    out = {
         "input": name,
         "m": m,
+        "thresholds": thresholds,
         "canopies": digest([[c.center_id, sorted(c.member_ids)] for c in canopies]),
         "regions": digest([
             regions.ptr.tolist(),
@@ -136,18 +146,21 @@ def line(name: str, coords, m: int) -> dict:
         "uf_ops": st.uf_ops,
         "summary": digest([float(getattr(st, f)).hex() for f in SUMMARY]),
     }
+    if naive:
+        out["naive"] = digest(naive_cluster(data, NaiveConfig(m)).labels)
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--adversarial", action="store_true", help="add the adversarial inputs")
     args = ap.parse_args(argv)
-    sources = [bench_inputs(), criteria_inputs()]
+    sources = [(bench_inputs(), True), (criteria_inputs(), True)]
     if args.adversarial:
-        sources.append(adversarial_inputs())
-    for source in sources:
+        sources.append((adversarial_inputs(), False))
+    for source, naive in sources:
         for name, coords, m in source:
-            print(json.dumps(line(name, coords, m)), flush=True)
+            print(json.dumps(line(name, coords, m, naive)), flush=True)
     return 0
 
 
