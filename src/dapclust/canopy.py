@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .core import Dataset, kth_distances
+from .core import _BLOCK_ENTRIES, Dataset, kth_distances
 from .grid import Grid
 
 _FALLBACK_T2 = 1e-9
@@ -70,7 +73,91 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     return CanopyConfig(3.0 * t2, t2)
 
 
-def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
+class Canopies(Sequence):
+    """The canopies of one sweep, as arrays. Canopy i has the seed
+    ``seeds[i]`` and the point ids ``members[ptr[i]:ptr[i + 1]]``,
+    ascending; the seeds ascend too.
+
+    ``canopy_cluster`` fills the arrays a batch of seeds at a time: the
+    next B remaining ids, B * B * dim <= ``_BLOCK_ENTRIES``, of which each
+    is a seed when no earlier seed of the batch lies within t2. The result
+    is that of the one-seed-at-a-time sweep, because the earlier batches'
+    seeds have already taken their t2 neighbours out of the pool (see
+    ``canopy_cluster``). ``build_regions`` reads the arrays directly.
+
+    Indexing or iterating gives ``Canopy`` objects, built on first use and
+    then kept. A ``Canopies`` equals another, or a list, that holds equal
+    ``Canopy`` objects in the same order.
+    """
+
+    def __init__(self, seeds, ptr, members):
+        self.seeds, self.ptr, self.members = seeds, ptr, members
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    def __eq__(self, other):
+        if isinstance(other, (Canopies, list)):
+            return self._objects == list(other)
+        return NotImplemented
+
+    @cached_property
+    def _objects(self) -> list[Canopy]:
+        ids, bounds = self.members.tolist(), self.ptr.tolist()
+        rows = zip(self.seeds.tolist(), bounds, bounds[1:])
+        return [Canopy(seed, frozenset(ids[lo:hi])) for seed, lo, hi in rows]
+
+
+def pack_canopies(canopies) -> Canopies:
+    """``canopies`` as a ``Canopies``: unchanged when it is one, else a
+    sequence of ``Canopy`` packed in its order, each member set ascending."""
+    if isinstance(canopies, Canopies):
+        return canopies
+    sizes = [len(c.member_ids) for c in canopies]
+    members = np.fromiter(chain.from_iterable(sorted(c.member_ids) for c in canopies), np.intp, sum(sizes))
+    return Canopies(np.array([c.center_id for c in canopies], np.intp), np.cumsum([0, *sizes]), members)
+
+
+def _linf(cols, a, b):
+    """The L-infinity distances between points ``a`` and ``b`` (equal-length
+    id arrays), with ``cols`` the coordinates one column per row. Taken one
+    coordinate at a time: a max over a short axis costs several times more."""
+    out = np.abs(cols[0, a] - cols[0, b])
+    for col in cols[1:]:
+        np.maximum(out, np.abs(col[a] - col[b]), out=out)
+    return out
+
+
+def _batch_seeds(later, earlier, size):
+    """Which of ``size`` batch positions are seeds, given the pairs of
+    positions within t2 of each other (``earlier`` < ``later``): the greedy
+    sweep's choice, a position being a seed when no earlier seed lies
+    within t2.
+
+    Resolved in rounds, as Blelloch, Fineman & Shun's prefix algorithm for
+    the greedy maximal independent set (SPAA 2012) does: an open position
+    whose earlier neighbours are all dead becomes a seed, and then an open
+    position next to an earlier seed dies. The lowest open position is
+    decided in every round.
+    """
+    state = np.zeros(size, dtype=np.int8)  # 0 open, 1 seed, -1 dead
+    while len(later):
+        blocked = np.zeros(size, dtype=bool)
+        blocked[later] = True
+        state[(state == 0) & ~blocked] = 1
+        state[later[state[earlier] == 1]] = -1
+        both_open = (state[later] == 0) & (state[earlier] == 0)
+        later, earlier = later[both_open], earlier[both_open]
+    return state >= 0
+
+
+def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> Canopies:
     """Run the standard canopy sweep.
 
     The candidate pool starts as all ids ascending. Repeatedly the lowest
@@ -80,35 +167,66 @@ def canopy_cluster(data: Dataset, cfg: CanopyConfig) -> list[Canopy]:
     several canopies; every point belongs to at least one. Seed selection by
     id makes the output identical across runs and worker counts.
 
-    Each seed tests only the points of its box of half-width t1 in a grid of
-    cells t1 wide, which holds every point within t1 of it (see
-    ``Grid.boxes``), as canopies take their candidates from a cheap index
-    (McCallum, Nigam & Ungar, KDD 2000).
+    The sweep runs in batches of the next B remaining ids, B * B * dim <=
+    ``_BLOCK_ENTRIES``, as in Blelloch, Fineman & Shun's prefix algorithm
+    for the greedy maximal independent set (SPAA 2012). The L-infinity
+    distances among the batch's points decide its seeds (see
+    ``_batch_seeds``): an id is a seed exactly when no earlier seed of the
+    batch lies within t2 of it, since the earlier batches' seeds have
+    already removed what lies within t2 of them. Then one chunked pass over
+    the t1 boxes of the batch's seeds, on a grid of cells t1 wide (see
+    ``Grid.boxes``), gives each seed the remaining candidates within t1 of
+    it whose first seed within t2 in the batch is not earlier than it: just
+    those are still in the pool when the sequential sweep reaches it. The
+    candidates within t2 of a seed leave the pool. This is exact: the
+    sequential sweep reaches an id of the batch with it still in the pool
+    exactly when no earlier seed lies within t2 of it, and a point is in
+    the pool when a seed is drawn exactly when its first seed within t2 is
+    not earlier. Only the boxes of real seeds are searched, and no pass
+    runs over all points per batch. Canopies take their candidates from a
+    cheap index, as in McCallum, Nigam & Ungar (KDD 2000).
+
+    Returns a ``Canopies``, which builds ``Canopy`` objects only when
+    indexed or iterated.
     """
     n = len(data)
-    canopies: list[Canopy] = []
     if n == 0:
-        return canopies
+        return pack_canopies([])
+    seeds, counts, members = [], [], []
     coords = data.coords
+    cols = np.ascontiguousarray(coords.T)
     grid = Grid(coords, cfg.t1)
-    order = grid.order
-    query, start, stop = grid.boxes(coords, cfg.t1)
-    # Each box spans under three cells on the first grid coordinate, so it
-    # meets at most four cell rows: one slice of ``order`` each. Empty slots
-    # stay (0, 0).
-    windows = np.zeros((n, 8), dtype=np.intp)
-    slot = 2 * (np.arange(len(query)) - np.searchsorted(query, query))
-    windows[query, slot] = start
-    windows[query, slot + 1] = stop
+    size = max(1, math.isqrt(_BLOCK_ENTRIES // coords.shape[1]))
     alive = np.ones(n, dtype=bool)
-    for seed in range(n):
-        if not alive[seed]:
-            continue
-        a, b, c, d, e, f, g, h = windows[seed].tolist()
-        cand = np.concatenate((order[a:b], order[c:d], order[e:f], order[g:h]))
-        cand = cand[alive[cand]]
-        cheap = np.abs(coords[cand] - coords[seed]).max(axis=1)
-        members = cand[cheap <= cfg.t1]
-        canopies.append(Canopy(seed, frozenset(members.tolist())))
-        alive[cand[cheap <= cfg.t2]] = False
-    return canopies
+    # A candidate's first seed within t2 in its chunk. The candidate leaves
+    # the pool with the chunk, so no entry is read twice or reset.
+    first = np.full(n, n, dtype=np.intp)
+    pos, width = 0, size  # every id below pos has left the pool
+    while pos < n:
+        found = np.flatnonzero(alive[pos : pos + width])
+        while len(found) < size and pos + width < n:
+            width *= 2
+            found = np.flatnonzero(alive[pos : pos + width])
+        if not len(found):
+            break
+        batch = found[:size] + pos
+        width = max(size, 2 * (int(batch[-1]) + 1 - pos))
+        pos = int(batch[-1]) + 1
+        later, earlier = np.nonzero(np.tril(_linf(cols, batch[:, None], batch) <= cfg.t2, -1))
+        batch = batch[_batch_seeds(later, earlier, len(batch))]
+        count = np.zeros(len(batch), dtype=np.intp)
+        for q, cand in grid.candidates(coords[batch], cfg.t1):
+            q, cand = q[alive[cand]], cand[alive[cand]]
+            cheap = _linf(cols, cand, batch[q])
+            near = cheap <= cfg.t2
+            np.minimum.at(first, cand[near], q[near])
+            hit = (cheap <= cfg.t1) & (first[cand] >= q)
+            key = q[hit] * n + cand[hit]
+            key.sort()  # the chunk's queries ascend, so only ids move
+            members.append(key % n)
+            count += np.bincount(q[hit], minlength=len(batch))
+            alive[cand[near]] = False
+        seeds.append(batch)
+        counts.append(count)
+    ptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return Canopies(np.concatenate(seeds), ptr, np.concatenate(members))

@@ -282,18 +282,22 @@ def epsilon_grid_report(named_datasets, m: int, grid_size: int = 20, out=None):
     the quadratic reference DBSCAN and tabulate the agreement per cell.
 
     named_datasets is a list of (name, Dataset, truth_labels). The grid is
-    log-spaced from the smallest nearest-neighbour distance to the largest
-    diameter across the datasets. Returns one dict per grid value with the
-    per-dataset agreement scores. Used to demonstrate that no single radius
-    serves data whose density varies widely.
+    log-spaced from the smallest positive nearest-neighbour distance (exact
+    repeats lie at 0) to the largest diameter across the datasets; a
+    ValueError says when no two points differ. Returns one dict per grid
+    value with the per-dataset agreement scores. Used to demonstrate that no
+    single radius serves data whose density varies widely.
     """
     out = out or sys.stdout
     lo = float("inf")
     hi = 0.0
     for _name, data, _truth in named_datasets:
         coords = data.coords
-        lo = min(lo, float(kth_distances(coords[None], 1).min()))
+        nearest = kth_distances(coords[None], 1)
+        lo = min(lo, float(nearest[nearest > 0].min(initial=np.inf)))
         hi = max(hi, distance_coords(coords.max(axis=0), coords.min(axis=0)))
+    if not lo < np.inf:
+        raise ValueError("epsilon grid needs two distinct points in some dataset")
     grid = np.geomspace(lo, hi, grid_size)
     names = [name for name, _d, _t in named_datasets]
     print(f"{'epsilon':>12} " + " ".join(f"{n:>12}" for n in names), file=out)

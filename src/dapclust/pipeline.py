@@ -30,11 +30,10 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
+from .canopy import Canopies, Canopy, CanopyConfig, canopy_cluster, estimate_thresholds, pack_canopies
 from .core import (
     NOISE,
     ClusterResult,
@@ -122,20 +121,6 @@ class Regions(Sequence):
         return [Region(r, sphere, set(ids[lo:hi]), epsilon, self.m) for r, sphere, lo, hi, epsilon in rows]
 
 
-def _ascending_members(sets, n):
-    """Every set's ids (each below ``n``) in ascending order, one set after
-    another, as one array; with the index of the set of each entry, and each
-    set's size. One sort of the keys owner * n + id, which are unique."""
-    sizes = np.array([len(s) for s in sets], dtype=np.intp)
-    owner = np.repeat(np.arange(len(sets)), sizes)
-    key = np.fromiter(chain.from_iterable(sets), np.intp, len(owner))
-    base = owner * n
-    key += base
-    key.sort()
-    key -= base
-    return key, owner, sizes
-
-
 def _surplus(members, owner, copy_rank, first_copy, m):
     """The surplus copies among memberships: ``members`` holds point ids,
     ascending within each partition, and ``owner`` the partition of each.
@@ -164,8 +149,9 @@ def _surplus(members, owner, copy_rank, first_copy, m):
 
 def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     """Each canopy's scan radius, and the centre and radius of its members'
-    bounding sphere, as (z,), (z, dim) and (z,) arrays. The members are taken
-    in ascending id.
+    bounding sphere, as (z,), (z, dim) and (z,) arrays. ``canopies`` is a
+    ``Canopies``, read as its arrays, so the members are taken in ascending
+    id.
 
     Each canopy is measured without its surplus copies (see ``_surplus``):
     canopies of equal kept size form one (b, k, dim) stack for
@@ -180,7 +166,8 @@ def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     same too, because its far-point passes take the lowest row of each
     distance, which is never a surplus copy.
     """
-    members, owner, sizes = _ascending_members([canopy.member_ids for canopy in canopies], len(coords))
+    members, sizes = canopies.members, np.diff(canopies.ptr)
+    owner = np.repeat(np.arange(len(canopies)), sizes)
     drop, src = _surplus(members, owner, copy_rank, first_copy, m)
     kept = np.ones(len(members), dtype=bool)
     kept[drop] = False
@@ -219,11 +206,15 @@ def _region_side(coords, radii) -> float:
 
 def build_regions(
     data: Dataset,
-    canopies: list[Canopy],
+    canopies: Canopies | Sequence[Canopy],
     cfg: PipelineConfig,
     tree: object = None,
 ) -> Regions:
     """Turn canopies into regions.
+
+    ``canopies`` is the ``Canopies`` of ``canopy_cluster``, whose arrays are
+    read as they are, or any sequence of ``Canopy``, which
+    ``pack_canopies`` first packs into those arrays.
 
     Per canopy: the scan radius comes from the canopy's own members, the
     approximate minimum enclosing sphere of those members is inflated by that
@@ -262,7 +253,7 @@ def build_regions(
     if not canopies:
         none = np.zeros(0)
         return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m, *copies)
-    eps, centers, radius = _canopy_estimates(coords, canopies, cfg.m, cfg.c, *copies)
+    eps, centers, radius = _canopy_estimates(coords, pack_canopies(canopies), cfg.m, cfg.c, *copies)
     radii = radius + eps
     rids, pids, sq = Grid(coords, _region_side(coords, radii)).within(centers, radii)
     # Each point's pairs, nearest first; it keeps the first cfg.cap of them.

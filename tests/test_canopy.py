@@ -7,9 +7,11 @@ import pytest
 from test_imports import imported_names
 
 import dapclust.canopy as canopy
+import dapclust.grid as grid
 from dapclust.baselines import knn_reference
-from dapclust.canopy import Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from dapclust.core import Dataset
+from dapclust.canopy import Canopies, Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
+from dapclust.core import _BLOCK_ENTRIES, Dataset
+from dapclust.pipeline import PipelineConfig, build_regions
 
 
 def linf(a, b):
@@ -260,3 +262,70 @@ def test_canopy_sweep_uses_no_tree():
     # must not come back.
     assert not imported_names(canopy.__file__) & {"sstree", "SsTree"}
     assert "tree" not in inspect.signature(canopy_cluster).parameters
+
+
+def boundary_inputs():
+    """(name, coords, t1, t2) cases that cross the sweep's batch and chunk
+    boundaries: ids along x, so that a batch holds long chains of seeds
+    each within t2 of the next; 1-D and 8-D points; exact copies; and
+    t1 = t2."""
+    rng = random.Random(17)
+    chain = sorted((rng.uniform(0, 60), rng.uniform(0, 3)) for _ in range(1500))
+    yield "ids-along-x", chain, 1.5, 0.5
+    yield "1-D", [(rng.uniform(0, 200),) for _ in range(700)], 3.0, 1.0
+    yield "8-D", [tuple(rng.gauss(0, 2) for _ in range(8)) for _ in range(400)], 4.0, 2.5
+    copies = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(60)] * 7
+    rng.shuffle(copies)
+    yield "copies", copies, 1.5, 0.5
+    yield "t1=t2", [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(600)], 1.0, 1.0
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_sweep_matches_oracle_across_batches_and_chunks(monkeypatch, block):
+    # At 64 entries a batch holds 2-8 ids and a chunk one or two boxes, so
+    # nearly every seed sits at some boundary.
+    if block:
+        monkeypatch.setattr(canopy, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(grid, "_BLOCK_ENTRIES", block)
+    for name, coords, t1, t2 in boundary_inputs():
+        got = canopy_cluster(Dataset.from_coords(coords), CanopyConfig(t1, t2))
+        assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(coords, t1, t2), name
+
+
+def test_sweep_matches_oracle_when_one_box_exceeds_a_chunk():
+    # Every seed's t1 box holds all points, more than one chunk of pairs.
+    rng = random.Random(18)
+    coords = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(_BLOCK_ENTRIES + 500)]
+    got = canopy_cluster(Dataset.from_coords(coords), CanopyConfig(1e9, 4.0))
+    assert len(got) > 1
+    assert [(c.center_id, c.member_ids) for c in got] == sweep_oracle(coords, 1e9, 4.0)
+
+
+def test_canopies_sequence():
+    rng = random.Random(19)
+    data = Dataset.from_coords([(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(200)])
+    out = canopy_cluster(data, CanopyConfig(2.0, 0.7))
+    assert isinstance(out, Canopies)
+    listed = [Canopy(seed, frozenset(ids)) for seed, ids in sweep_oracle(data.coords.tolist(), 2.0, 0.7)]
+    assert len(out) == len(listed) > 1
+    assert out == listed and listed == out
+    assert list(out) == listed
+    assert out[0] == listed[0] and out[-1] == listed[-1] and out[1:3] == listed[1:3]
+    assert out != listed[:-1]
+    assert out.seeds.tolist() == [c.center_id for c in listed]
+    for i, c in enumerate(listed):
+        assert out.members[out.ptr[i] : out.ptr[i + 1]].tolist() == sorted(c.member_ids)
+    empty = canopy_cluster(Dataset.from_coords([]), CanopyConfig(1.0, 1.0))
+    assert len(empty) == 0 and list(empty) == [] and empty == []
+    assert empty.ptr.tolist() == [0]
+
+
+def test_regions_from_canopies_or_their_list_are_identical():
+    rng = random.Random(20)
+    data = Dataset.from_coords([(rng.gauss(0, 3), rng.gauss(0, 3)) for _ in range(500)])
+    canopies = canopy_cluster(data, estimate_thresholds(data, 4))
+    cfg = PipelineConfig(m=4)
+    packed, listed = build_regions(data, canopies, cfg), build_regions(data, list(canopies), cfg)
+    for name in ("ptr", "members", "centers", "radii", "epsilon", "copy_rank", "first_copy"):
+        a, b = getattr(packed, name), getattr(listed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -1,4 +1,9 @@
-from dapclust.cli import load_labels, run
+import io
+
+import pytest
+
+from dapclust.cli import epsilon_grid_report, load_labels, run
+from dapclust.core import Dataset
 
 
 def gen(tmp_path, name="data.csv", kind="blobs", n=200, clusters=3, seed=7, extra=()):
@@ -282,3 +287,15 @@ def test_report_counts_repeat_points(tmp_path):
     data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 100, 101, 102)))
     assert run([*args, "--output", str(tmp_path / "labels.csv"), "--report", str(report)]) == 0
     assert dict(kv.split("=") for kv in report.read_text().split())["repeat_points"] == "0"
+
+
+def test_epsilon_grid_starts_at_smallest_positive_gap():
+    # An exact repeat lies at distance 0 from its copy; the grid starts at
+    # the smallest positive nearest-neighbour distance instead.
+    data = Dataset.from_coords([(0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (3.0, 4.0)])
+    rows = epsilon_grid_report([("repeat", data, [0, 0, 0, 1])], m=2, grid_size=5, out=io.StringIO())
+    grid = [row["epsilon"] for row in rows]
+    assert grid[0] == pytest.approx(0.5)
+    assert grid[-1] == pytest.approx(5.0)
+    with pytest.raises(ValueError, match="two distinct points"):
+        epsilon_grid_report([("same", Dataset.from_coords([(1.0, 2.0)] * 3), [0, 0, 0])], m=2)

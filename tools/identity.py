@@ -9,10 +9,10 @@ Usage, from the repository root:
 The inputs are the benchmark's (seeds 1-10 of ``blobs_w2``,
 ``mixed_hotspots`` and ``blobs_d8``, made by ``bench/inputs.py`` exactly as
 ``bench/run.py`` makes them) and those of acceptance criteria 4, 5, 6 and 8.
-``--adversarial`` adds blobs rounded to a 0.5 grid, identical points in 2-D
-and 8-D, and the d = 8 copies input of
-``test_batched_map_matches_map_step_per_region``; at some versions of the
-package these take tens of seconds.
+``--adversarial`` adds blobs rounded to a 0.5 grid, the same blobs with
+their ids ordered along x, identical points in 2-D and 8-D, and the d = 8
+copies input of ``test_batched_map_matches_map_step_per_region``; at some
+versions of the package these take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, and sha256 digests of: the canopies
@@ -104,6 +104,8 @@ def criteria_inputs():
 def adversarial_inputs():
     blobs = make_blobs(6_000, 5, seed=1)[0].coords
     yield "adversarial/rounded_blobs", np.round(blobs * 2) / 2, 4
+    # Ids along x: the canopy sweep's batches hold long chains of seeds.
+    yield "adversarial/blobs_by_x", blobs[np.argsort(blobs[:, 0], kind="stable")], 4
     yield "adversarial/identical_2d", np.zeros((20_000, 2)), 4
     yield "adversarial/identical_8d", np.ones((3_000, 8)), 4
     dim = 8
