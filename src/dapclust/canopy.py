@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, Dataset, kth_distances
+from .core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
 from .grid import Grid
-
-_FALLBACK_T2 = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,27 +52,24 @@ def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:
     """Derive canopy thresholds from the data.
 
     t2 is the mean of ``sample_kth_distances``, summed in sample order one
-    distance at a time; t1 = 3 * t2. Degenerate inputs (all points
-    identical, or fewer than two points) fall back to a tiny positive t2.
+    distance at a time (``np.cumsum``, whose last entry is that sequential
+    sum); t1 = 3 * t2. Degenerate inputs (all points identical, or fewer
+    than two points) fall back to t1 = 3e-9 and t2 = 1e-9.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if len(data) < 2:
-        return CanopyConfig(3 * _FALLBACK_T2, _FALLBACK_T2)
-    kth = sample_kth_distances(data.coords, m)
-    total = 0.0
-    for dist in kth.tolist():
-        total += dist
-    t2 = total / len(kth)
-    if t2 == 0.0:
-        return CanopyConfig(3e-9, _FALLBACK_T2)
-    return CanopyConfig(3.0 * t2, t2)
+    if len(data) >= 2:
+        kth = sample_kth_distances(data.coords, m)
+        t2 = float(np.cumsum(kth)[-1]) / len(kth)
+        if t2:
+            return CanopyConfig(3.0 * t2, t2)
+    return CanopyConfig(3e-9, 1e-9)
 
 
-class Canopies(Sequence):
-    """The canopies of one sweep, as arrays. Canopy i has the seed
-    ``seeds[i]`` and the point ids ``members[ptr[i]:ptr[i + 1]]``,
-    ascending; the seeds ascend too.
+class Canopies(Partitions):
+    """The canopies of one sweep, as arrays (see ``core.Partitions``).
+    Canopy i has the seed ``seeds[i]`` and the point ids
+    ``members[ptr[i]:ptr[i + 1]]``, ascending; the seeds ascend too.
 
     ``canopy_cluster`` fills the arrays a batch of seeds at a time: the
     next B remaining ids, B * B * dim <= ``_BLOCK_ENTRIES``, of which each
@@ -85,33 +78,22 @@ class Canopies(Sequence):
     seeds have already taken their t2 neighbours out of the pool (see
     ``canopy_cluster``). ``build_regions`` reads the arrays directly.
 
-    Indexing or iterating gives ``Canopy`` objects, built on first use and
-    then kept. A ``Canopies`` equals another, or a list, that holds equal
-    ``Canopy`` objects in the same order.
+    Indexing or iterating gives ``Canopy`` objects. A ``Canopies`` equals
+    another, or a list, that holds equal ``Canopy`` objects in the same
+    order.
     """
 
     def __init__(self, seeds, ptr, members):
-        self.seeds, self.ptr, self.members = seeds, ptr, members
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def __getitem__(self, i):
-        return self._objects[i]
-
-    def __iter__(self):
-        return iter(self._objects)
+        super().__init__(ptr, members)
+        self.seeds = seeds
 
     def __eq__(self, other):
         if isinstance(other, (Canopies, list)):
             return self._objects == list(other)
         return NotImplemented
 
-    @cached_property
-    def _objects(self) -> list[Canopy]:
-        ids, bounds = self.members.tolist(), self.ptr.tolist()
-        rows = zip(self.seeds.tolist(), bounds, bounds[1:])
-        return [Canopy(seed, frozenset(ids[lo:hi])) for seed, lo, hi in rows]
+    def _build(self, rows):
+        return [Canopy(seed, frozenset(ids)) for seed, ids in zip(self.seeds.tolist(), rows)]
 
 
 def pack_canopies(canopies) -> Canopies:

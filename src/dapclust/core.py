@@ -1,10 +1,12 @@
 """Geometric primitives, the sorts of pair arrays, the dataset container,
-and CSV I/O."""
+the partitions of its ids, and CSV I/O."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from operator import index, sub
 
@@ -288,6 +290,39 @@ class Dataset:
     def __getitem__(self, i: int) -> Point:
         i = range(len(self._coords))[index(i)]
         return Point(i, tuple(self._coords[i].tolist()))
+
+
+class Partitions(Sequence):
+    """Partitions of a dataset's point ids, as CSR arrays: partition i holds
+    the ids ``members[ptr[i]:ptr[i + 1]]``, ascending, and ``owner`` gives
+    the partition of each membership.
+
+    Indexing or iterating gives the objects that a subclass's ``_build``
+    makes from the member id lists, built on first use and then kept, so a
+    change to one of them stays with it. The arrays do not follow such
+    changes.
+    """
+
+    def __init__(self, ptr, members):
+        self.ptr, self.members = ptr, members
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.ptr))
+
+    @cached_property
+    def _objects(self) -> list:
+        ids, bounds = self.members.tolist(), self.ptr.tolist()
+        return self._build([ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
 
 def load_csv(path, skip_header: bool = False) -> Dataset:

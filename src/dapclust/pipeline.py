@@ -11,9 +11,7 @@
    fewer than m points skips the merge. Exact copies of a point cost at
    most m + 1 rows: the scan radii, spheres and merges leave out each
    location's copies past its (m + 1)-th by id, which then take the first
-   copy's results. A point is core once m points lie in its ball, and
-   copies share every canopy and region, so m + 1 of them decide what all
-   of them would.
+   copy's results (the copies rule, see ``_surplus``).
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -29,7 +27,6 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +35,7 @@ from .core import (
     NOISE,
     ClusterResult,
     Dataset,
+    Partitions,
     RunStats,
     Sphere,
     copy_ranks,
@@ -85,66 +83,85 @@ class Region:
     m: int
 
 
-class Regions(Sequence):
-    """The regions of one ``build_regions`` call, as arrays. Region r holds
-    the point ids ``members[ptr[r]:ptr[r + 1]]``, ascending; its sphere has
-    the centre ``centers[r]`` and the radius ``radii[r]``, and its scan
-    radius is ``epsilon[r]``. Point p is the ``copy_rank[p]``-th copy of
-    its coordinates by id, counting from 0 at ``first_copy[p]`` (see
-    ``core.copy_ranks``).
-
-    Indexing or iterating gives ``Region`` objects, built on first use and
-    then kept, so a change to one of their member sets stays with it. The
-    arrays do not follow such changes.
+class Regions(Partitions):
+    """The regions of one ``build_regions`` call, as arrays (see
+    ``core.Partitions``). Region r holds the point ids
+    ``members[ptr[r]:ptr[r + 1]]``, ascending; its sphere has the centre
+    ``centers[r]`` and the radius ``radii[r]``, and its scan radius is
+    ``epsilon[r]``. Point p is the ``copy_rank[p]``-th copy of its
+    coordinates by id, counting from 0 at ``first_copy[p]`` (see
+    ``core.copy_ranks``); a region holds all copies of a point or none (see
+    ``_surplus``). Indexing or iterating gives ``Region`` objects.
     """
 
     def __init__(self, ptr, members, centers, radii, epsilon, m: int, copy_rank, first_copy):
-        self.ptr, self.members = ptr, members
+        super().__init__(ptr, members)
         self.centers, self.radii, self.epsilon = centers, radii, epsilon
         self.m = m
         self.copy_rank, self.first_copy = copy_rank, first_copy
 
-    def __len__(self) -> int:
-        return len(self.epsilon)
-
-    def __getitem__(self, i):
-        return self._objects[i]
-
-    def __iter__(self):
-        return iter(self._objects)
-
-    @cached_property
-    def _objects(self) -> list[Region]:
-        ids, bounds = self.members.tolist(), self.ptr.tolist()
+    def _build(self, rows):
         spheres = map(Sphere, map(tuple, self.centers.tolist()), self.radii.tolist())
-        rows = zip(range(len(self)), spheres, bounds, bounds[1:], self.epsilon.tolist())
-        return [Region(r, sphere, set(ids[lo:hi]), epsilon, self.m) for r, sphere, lo, hi, epsilon in rows]
+        rows = zip(spheres, rows, self.epsilon.tolist())
+        return [Region(r, sphere, set(ids), epsilon, self.m) for r, (sphere, ids, epsilon) in enumerate(rows)]
 
 
-def _surplus(members, owner, copy_rank, first_copy, m):
-    """The surplus copies among memberships: ``members`` holds point ids,
-    ascending within each partition, and ``owner`` the partition of each.
-    In every partition, a member past the (m + 1)-th of its coordinates, by
-    id, is surplus. Returns the surplus memberships' positions and, for
-    each, the position of the first member with its coordinates in its
-    partition.
+def _surplus(parts: Partitions, copy_rank, first_copy, m):
+    """The copies rule, which the scan radii, the spheres and the merge all
+    follow: in every partition of ``parts``, a point's copies past the
+    (m + 1)-th by id, those of ``copy_rank`` above m (the surplus), are
+    left out of the distance blocks, and each takes the results of its
+    first copy in the partition.
 
-    Only the memberships of coordinates held by more than m + 1 points (a
-    point of ``copy_rank`` above m) are sorted, by (partition, first copy),
-    stably, so that each location keeps its members in ascending id.
+    It rests on an invariant: a partition holds all of a point's copies or
+    none. Copies have bit-equal distances to every seed and every centre,
+    so the canopy sweep and the region cap treat them alike, and a
+    partition's copies of a point are its global copies, ranked by
+    ``copy_rank``. The rule is then exact. Copies lie at distance 0 from
+    each other and alike from every other point, so the m + 1 kept copies
+    still give each member its m nearest distances, and every ball that
+    reaches them at least m points there; every other count is unchanged.
+    And a surplus copy is never the lowest row of a distance, nor the
+    lowest id of a component.
+
+    Returns the surplus memberships' positions, each one's source (the
+    position of its first copy), and the positions of the kept
+    memberships, ascending. Raises ``ValueError`` when a partition holds
+    some of a point's copies but not all.
     """
+    members, owner = parts.members, parts.owner
     n = len(copy_rank)
-    heavy = np.zeros(n, dtype=bool)
-    heavy[first_copy[copy_rank > m]] = True
-    at = np.flatnonzero(heavy[first_copy[members]])
-    key = owner[at] * n + first_copy[members[at]]
-    order = np.argsort(key, kind="stable")
-    at, key = at[order], key[order]
-    new = np.ones(len(at), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    head = np.flatnonzero(new)[np.cumsum(new) - 1]  # the location's first, per sorted membership
-    past = np.arange(len(at)) - head > m
-    return at[past], at[head[past]]
+    count = np.bincount(first_copy, minlength=n)
+    at = np.flatnonzero(count[first_copy[members]] > 1)  # memberships of repeated points
+    keys = owner * n + members  # ascending
+    want = owner[at] * n + first_copy[members[at]]
+    src = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    firsts = src[copy_rank[members[at]] == 0]
+    if (keys[src] != want).any() or (np.bincount(src)[firsts] != count[members[firsts]]).any():
+        raise ValueError("a partition holds some copies of a point but not all of them")
+    surplus = copy_rank[members[at]] > m
+    kept = np.ones(len(members), dtype=bool)
+    kept[at[surplus]] = False
+    return at[surplus], src[surplus], np.flatnonzero(kept)
+
+
+def _stacked(at, counts, pad=1):
+    """Stacks of partitions for array passes: partition i owns the
+    positions ``at[starts[i]:starts[i] + counts[i]]``, where ``starts`` is
+    the running sum of ``counts``. The non-empty partitions whose counts
+    round up to the same multiple of ``pad`` form one stack; yields, per
+    stack, the partitions and their (b, width) positions. A partition's
+    slots past its count are padding, which repeats some position.
+
+    The scan-radius estimates stack by exact size (``pad`` 1) and the merge
+    by multiples of 8: on 2-D blobs each rule is the faster for its use.
+    """
+    starts = np.cumsum(counts) - counts
+    width = (counts + pad - 1) // pad * pad
+    at = np.concatenate([at, np.repeat(at[-1:], pad - 1)])  # the last partition's padding
+    for w in np.unique(width[counts > 0]).tolist():
+        group = np.flatnonzero(width == w)
+        yield group, at[starts[group, None] + np.arange(w)]
 
 
 def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
@@ -153,42 +170,30 @@ def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     ``Canopies``, read as its arrays, so the members are taken in ascending
     id.
 
-    Each canopy is measured without its surplus copies (see ``_surplus``):
-    canopies of equal kept size form one (b, k, dim) stack for
-    ``kth_distances`` and ``stacked_bounding_sphere``. Every kept member
-    gets its distance to its m-th nearest other member, each surplus copy
-    takes its location's first member's distance, and the scan radius is c
-    times the mean over the full member row in ascending id, taken for the
-    canopies of equal full size together, so it keeps the bits of
-    ``estimate_epsilon`` on all members. This is exact: a canopy keeps
-    m + 1 points of a location it thins, so no member's m nearest others
-    lose a distance, and copies have equal distances. The sphere is the
-    same too, because its far-point passes take the lowest row of each
-    distance, which is never a surplus copy.
+    Each canopy is measured without its surplus copies (see ``_surplus``
+    for the copies rule): canopies of equal kept size form one (b, k, dim)
+    stack for ``kth_distances`` and ``stacked_bounding_sphere``. Every kept
+    member gets its distance to its m-th nearest other member, and each
+    surplus copy takes its first copy's. The scan radius is c times the
+    mean over the full member row in ascending id, taken for the canopies
+    of equal full size together, so it keeps the bits of
+    ``estimate_epsilon`` on all members; the sphere keeps those of
+    ``bounding_sphere``.
     """
-    members, sizes = canopies.members, np.diff(canopies.ptr)
-    owner = np.repeat(np.arange(len(canopies)), sizes)
-    drop, src = _surplus(members, owner, copy_rank, first_copy, m)
-    kept = np.ones(len(members), dtype=bool)
-    kept[drop] = False
-    at = np.flatnonzero(kept)
-    kept_sizes = np.bincount(owner[at], minlength=len(canopies))
-    starts = np.cumsum(kept_sizes) - kept_sizes
-    kth = np.empty(len(members))
+    if not np.diff(canopies.ptr).all():
+        raise ValueError("a canopy holds no point")
+    drop, src, kept = _surplus(canopies, copy_rank, first_copy, m)
+    kth = np.empty(len(canopies.members))
     centers = np.empty((len(canopies), coords.shape[1]))
     radius = np.empty(len(canopies))
-    for k in np.unique(kept_sizes).tolist():
-        group = np.flatnonzero(kept_sizes == k)
-        pos = at[starts[group, None] + np.arange(k)]
-        pts = coords[members[pos]]
+    for group, pos in _stacked(kept, np.bincount(canopies.owner[kept], minlength=len(canopies))):
+        pts = coords[canopies.members[pos]]
         kth[pos] = kth_distances(pts, m)
         centers[group], radius[group] = stacked_bounding_sphere(pts)
     kth[drop] = kth[src]
     eps = np.empty(len(canopies))
-    starts = np.cumsum(sizes) - sizes
-    for k in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == k)
-        eps[group] = c * kth[starts[group, None] + np.arange(k)].mean(axis=1)
+    for group, pos in _stacked(np.arange(len(kth)), np.diff(canopies.ptr)):
+        eps[group] = c * kth[pos].mean(axis=1)
     return eps, centers, radius
 
 
@@ -230,13 +235,12 @@ def build_regions(
     Everything runs on arrays. The scan radii and spheres come from
     ``kth_distances`` and ``stacked_bounding_sphere`` on stacks of the
     canopies of one size, with the copies of a point past its (m + 1)-th
-    left out (see ``_canopy_estimates``): one ``copy_ranks`` sort ranks
-    every point among the points with exactly its coordinates, by id, and
-    the result also carries that rank to the map. Copies have equal
-    distances to every point and centre, so they share every canopy the
-    sweep makes and every region the cap leaves, and m + 1 of them decide
-    each scan radius, sphere and merge as all of them would. A ``Grid`` with cells about a
-    region radius wide (see ``_region_side``) finds the members of every
+    left out (see ``_canopy_estimates``, and ``_surplus`` for the copies
+    rule): one ``copy_ranks`` sort ranks every point among the points with
+    exactly its coordinates, by id, and the result also carries that rank
+    to the map. ``ValueError`` is raised when a canopy holds some of a
+    point's copies but not all, which no sweep gives. A ``Grid`` with cells
+    about a region radius wide (see ``_region_side``) finds the members of every
     region, with their squared distances, in one chunked pass. The cap puts
     these (point, region) pairs in (point, squared distance, region id) order
     with ``pair_order``, and the surviving pairs go to their regions, each in
@@ -297,35 +301,23 @@ def _map_regions(data: Dataset, regions: Regions, m: int):
     It reads the arrays of ``regions``, not ``Region`` objects. Two kinds of
     membership skip the merge. A region of fewer than m members cannot hold
     a core point, so its members come out NOISE and not core. And a region's
-    surplus copies (see ``_surplus``) are left out of its partition; each
-    then takes the label and core flag of its location's first member in
-    the region. This is exact: copies lie at distance 0 from each other and
-    alike from every other point, a ball that reaches a thinned location
-    still counts m + 1 points there, every other count is unchanged, and the
-    lowest id of a component is never a surplus copy.
+    surplus copies (see ``_surplus`` for the copies rule) take the label and
+    core flag of their first copy in the region.
 
     The rest of every region goes through ``stacked_merge`` with the other
     regions of its size class, its size rounded up to a multiple of 8.
     ``stacked_merge`` cuts each class into slabs of at most
     ``_BLOCK_ENTRIES`` distance entries.
     """
-    members, epsilon = regions.members, regions.epsilon
+    members, owner, epsilon = regions.members, regions.owner, regions.epsilon
     sizes = np.diff(regions.ptr)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    drop, src = _surplus(members, owner, regions.copy_rank, regions.first_copy, m)
-    merged = sizes[owner] >= m
-    merged[drop] = False
-    at = np.flatnonzero(merged)
-    kept = np.bincount(owner[at], minlength=len(sizes))
-    starts = np.cumsum(kept) - kept
+    drop, src, kept = _surplus(regions, regions.copy_rank, regions.first_copy, m)
+    kept = kept[sizes[owner[kept]] >= m]
     labels = np.full(len(members), NOISE, dtype=np.intp)
     core = np.zeros(len(members), dtype=bool)
-    width = (kept + 7) // 8 * 8
-    for w in np.unique(width[kept > 0]).tolist():
-        cls = np.flatnonzero(width == w)
-        slot = np.arange(w)
-        valid = slot < kept[cls, None]
-        pos = at[np.minimum(starts[cls, None] + slot, len(at) - 1)]
+    counts = np.bincount(owner[kept], minlength=len(sizes))
+    for cls, pos in _stacked(kept, counts, 8):
+        valid = np.arange(pos.shape[1]) < counts[cls, None]
         ids = np.where(valid, members[pos], -1)
         cls_labels, cls_core = stacked_merge(data.coords, ids, epsilon[cls], m)
         labels[pos[valid]] = cls_labels[valid]

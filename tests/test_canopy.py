@@ -10,7 +10,7 @@ import dapclust.canopy as canopy
 import dapclust.grid as grid
 from dapclust.baselines import knn_reference
 from dapclust.canopy import Canopies, Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from dapclust.core import _BLOCK_ENTRIES, Dataset
+from dapclust.core import _BLOCK_ENTRIES, Dataset, Partitions
 from dapclust.pipeline import PipelineConfig, build_regions
 
 
@@ -99,10 +99,11 @@ def test_thresholds_bit_identical_to_sequential_knn_mean(n, dim):
 
 
 def test_thresholds_identical_points_fallback():
-    data = Dataset.from_coords([(1.0, 1.0)] * 10)
-    cfg = estimate_thresholds(data, m=2)
-    assert cfg.t2 == 1e-9
-    assert cfg.t1 == 3e-9
+    # Fewer than two points, or all identical: one fallback, to the bit.
+    for n in (0, 1, 10):
+        cfg = estimate_thresholds(Dataset.from_coords([(1.0, 1.0)] * n), m=2)
+        assert cfg.t2.hex() == (1e-9).hex(), n
+        assert cfg.t1.hex() == (3e-9).hex(), n
 
 
 def test_single_point_single_canopy():
@@ -329,3 +330,20 @@ def test_regions_from_canopies_or_their_list_are_identical():
     for name in ("ptr", "members", "centers", "radii", "epsilon", "copy_rank", "first_copy"):
         a, b = getattr(packed, name), getattr(listed, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_canopies_and_regions_share_one_partition_type():
+    # Both keep only their own arrays and the objects they build; the
+    # sequence methods, the owner array and the object cache are the base's.
+    rng = random.Random(21)
+    data = Dataset.from_coords([(rng.gauss(0, 3), rng.gauss(0, 3)) for _ in range(300)])
+    canopies = canopy_cluster(data, estimate_thresholds(data, 4))
+    regions = build_regions(data, canopies, PipelineConfig(m=4))
+    for parts in (canopies, regions):
+        assert isinstance(parts, Partitions)
+        assert not {"__len__", "__getitem__", "__iter__", "_objects", "owner"} & set(vars(type(parts)))
+        sizes = np.diff(parts.ptr)
+        assert len(parts) == len(sizes) == len(list(parts))
+        assert parts.owner.tolist() == np.repeat(np.arange(len(parts)), sizes).tolist()
+        assert [len(p.member_ids) for p in parts] == sizes.tolist()
+        assert parts[-1] is parts[len(parts) - 1]  # built once, then kept

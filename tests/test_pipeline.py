@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import random
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,8 @@ from dapclust.naive import NaiveConfig, naive_cluster
 from dapclust.pipeline import PipelineConfig, build_regions, cluster, map_step, reduce_merge
 from dapclust.grid import Grid
 from dapclust.sstree import SsTree
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_config_validation():
@@ -642,6 +646,75 @@ def test_thinned_canopies_are_stacked_by_kept_size(monkeypatch):
     for pts in calls:
         for part in pts:
             assert max(Counter(row.tobytes() for row in part).values()) <= m + 1
+
+
+def _repeat_heavy_inputs():
+    """Inputs where many points have exact copies: name, coordinates."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    blobs = make_blobs(6000, 5, seed=1)[0].coords
+    rounded = np.round(blobs * 2) / 2
+    yield "rounded blobs", rounded
+    yield "rounded blobs, ids along x", rounded[np.argsort(rounded[:, 0], kind="stable")]
+    yield "identical 2-D", np.zeros((5000, 2))
+    yield "identical 8-D", np.ones((3000, 8))
+    base = make_blobs(1200, 3, seed=8, dim=8)[0].coords
+    rng = np.random.default_rng(8)
+    yield "copies d = 8", np.concatenate([
+        base,
+        base[11] + rng.normal(size=(300, 8)) * 0.02,
+        base[7] + 50.0 + rng.normal(size=(1030, 8)) * 0.01,
+        np.repeat(base[5:6], 1100, axis=0),
+    ])
+    yield "half-integer lattice 3-D", rng.integers(-8, 9, size=(3000, 3)) / 2
+    for seed in (1, 2, 3):
+        yield f"mixed_hotspots {seed}", inputs.mixed_hotspots(seed, 4000, 250)[0]
+
+
+def test_partitions_hold_every_copy_of_a_point_or_none():
+    # Copies have equal distances to every seed and every centre, so the
+    # sweep and the cap put all of a location's copies, or none, into each
+    # canopy and region: the location's count in a partition is its global
+    # count. Locations are compared by value, so 0.0 and -0.0 are one.
+    m = 4
+    for name, coords in _repeat_heavy_inputs():
+        data = Dataset.from_coords(coords)
+        _, loc, count = np.unique(data.coords, axis=0, return_inverse=True, return_counts=True)
+        assert count.max() > m + 1, name
+        canopies = canopy_cluster(data, estimate_thresholds(data, m))
+        regions = build_regions(data, canopies, PipelineConfig(m=m))
+        for parts in (canopies, regions):
+            owner = np.repeat(np.arange(len(parts)), np.diff(parts.ptr))
+            pairs, held = np.unique(owner * len(count) + loc[parts.members], return_counts=True)
+            assert (held == count[pairs % len(count)]).all(), name
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(range(4), range(4, 8)), ([0], [1]), (range(6), [0, 6, 7])],
+    ids=["halves", "one each", "both hold the first"],
+)
+def test_regions_refuse_canopies_that_split_copies(first, second):
+    # Copies of the origin shared out over two hand-built canopies, next to
+    # three distinct points: no sweep gives this, and the copies rule would
+    # measure a split copy by a first copy it lacks, or count too few.
+    copies = max(*first, *second) + 1
+    data = Dataset.from_coords([(0.0, 0.0)] * copies + [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    canopies = [
+        Canopy(0, frozenset([*first, copies, copies + 1])),
+        Canopy(min(second), frozenset([*second, copies + 2])),
+    ]
+    with pytest.raises(ValueError, match="some copies of a point but not all"):
+        build_regions(data, canopies, PipelineConfig(m=4))
+
+
+def test_regions_refuse_an_empty_canopy():
+    # A hand-built canopy with no member has no sphere or scan radius.
+    data = Dataset.from_coords([(0.0, 0.0), (1.0, 0.0), (5.0, 5.0)])
+    canopies = [Canopy(0, frozenset()), Canopy(0, frozenset({0, 1, 2}))]
+    with pytest.raises(ValueError, match="a canopy holds no point"):
+        build_regions(data, canopies, PipelineConfig(m=2))
 
 
 def test_sparse_fold_matches_union_find():
