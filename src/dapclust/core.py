@@ -165,8 +165,9 @@ def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
     picks the rows measured, the same in every partition, and the result is
     (b, len(rows)).
 
-    The package's one k-th-neighbour routine: the scan radii, the canopy
-    thresholds and the naive clusterer's grid all measure with it. The
+    The package's row-block k-th-neighbour routine: the scan radii and the
+    canopy thresholds' pilot (and their sample where the grid prunes
+    little, see ``canopy.sample_kth_distances``) measure with it. The
     chosen rows are measured against their whole partition with
     ``squared_distances``, so each distance has the bits of the scalar rule,
     in blocks of at most ``_BLOCK_ENTRIES`` entries: whole partitions at a
@@ -406,6 +407,10 @@ class RunStats:
     ``repeat_points`` counts the points past the (m + 1)-th copy of their
     coordinates, by id, which the pipeline's scan radii and density merge
     leave out of their distance blocks.
+
+    ``region_pairs`` counts the (point, region) pairs of points inside a
+    region's sphere before the per-point cap: the pairs that the regions'
+    range pass finds and the cap sorts.
     """
 
     region_count: int = 0
@@ -427,6 +432,7 @@ class RunStats:
     uf_ops: int = 0
     uf_hops: int = 0
     repeat_points: int = 0
+    region_pairs: int = 0
 
 
 @dataclass

@@ -191,3 +191,20 @@ class Grid:
                 reach[grow] = np.maximum(2 * reach[grow], line)
             todo = todo[~done]
         return ids, dist
+
+    def nearest_others(self, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The m points nearest to each of the grid's points ``rows`` (ids)
+        other than itself, or all the others when there are fewer, as
+        (len(rows), min(m, n - 1)) arrays of ids and distances, in the order
+        and with the bits of ``nearest``.
+
+        ``nearest`` gathers m + 1 points per row, and the row's own id goes.
+        Copies at distance 0 with lower ids can push the own id out of the
+        row; then the row's last entry goes instead, and the m left are all
+        copies at distance 0.
+        """
+        ids, dist = self.nearest(self.coords[rows], min(m + 1, len(self.coords)))
+        drop = ids == rows[:, None]
+        drop[:, -1] |= ~drop.any(axis=1)
+        shape = (len(rows), ids.shape[1] - 1)
+        return ids[~drop].reshape(shape), dist[~drop].reshape(shape)

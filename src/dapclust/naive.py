@@ -39,11 +39,13 @@ def naive_cluster(data: Dataset, cfg: NaiveConfig) -> ClusterResult:
     result is independent of query or link order. m >= n simply merges
     everything reachable.
 
-    The grid's cells are as wide as the median distance to the m-th nearest
-    other point over the canopy thresholds' sample (``sample_kth_distances``),
-    or their mean when most of those points have m copies. The thresholds'
-    mean alone would let one far outlier put every other point in one cell,
-    and make the query quadratic.
+    Each point's m nearest other points come from one
+    ``Grid.nearest_others`` query, the one the canopy thresholds' sample
+    runs where the grid's boxes prune. The grid's cells are as wide as the
+    median distance to the m-th nearest other point over that sample
+    (``sample_kth_distances``), or their mean when most of those points
+    have m copies. The thresholds' mean alone would let one far outlier put
+    every other point in one cell, and make the query quadratic.
     """
     start = time.perf_counter()
     n = len(data)
@@ -51,13 +53,9 @@ def naive_cluster(data: Dataset, cfg: NaiveConfig) -> ClusterResult:
         return ClusterResult(list(range(n)), set(), RunStats())
     kth = sample_kth_distances(data.coords, cfg.m)
     side = float(np.median(kth)) or float(kth.mean()) or 1e-9
-    ids, _ = Grid(data.coords, side).nearest(data.coords, cfg.m + 1)
-    # Drop each row's own id; copies at distance 0 with lower ids can push it
-    # out of the row, and then the row's last entry goes instead.
-    own = ids == np.arange(n)[:, None]
-    own[:, -1] |= ~own.any(axis=1)
-    heads = np.repeat(np.arange(n), ids.shape[1] - 1)
-    labels = _lowest_linked(np.arange(n), heads, ids[~own])
+    ids, _ = Grid(data.coords, side).nearest_others(np.arange(n), cfg.m)
+    heads = np.repeat(np.arange(n), ids.shape[1])
+    labels = _lowest_linked(np.arange(n), heads, ids.ravel())
     stats = RunStats(uf_ops=len(heads))
     stats.t_total = time.perf_counter() - start
     return ClusterResult(labels.tolist(), set(), stats)

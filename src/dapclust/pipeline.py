@@ -91,14 +91,17 @@ class Regions(Partitions):
     ``epsilon[r]``. Point p is the ``copy_rank[p]``-th copy of its
     coordinates by id, counting from 0 at ``first_copy[p]`` (see
     ``core.copy_ranks``); a region holds all copies of a point or none (see
-    ``_surplus``). Indexing or iterating gives ``Region`` objects.
+    ``_surplus``). ``pairs`` counts the (point, region) pairs of points
+    inside a sphere before the per-point cap. Indexing or iterating gives
+    ``Region`` objects.
     """
 
-    def __init__(self, ptr, members, centers, radii, epsilon, m: int, copy_rank, first_copy):
+    def __init__(self, ptr, members, centers, radii, epsilon, m: int, copy_rank, first_copy, pairs: int = 0):
         super().__init__(ptr, members)
         self.centers, self.radii, self.epsilon = centers, radii, epsilon
         self.m = m
         self.copy_rank, self.first_copy = copy_rank, first_copy
+        self.pairs = pairs
 
     def _build(self, rows):
         spheres = map(Sphere, map(tuple, self.centers.tolist()), self.radii.tolist())
@@ -264,6 +267,7 @@ def build_regions(
     # The point ids ascend in this order and need not be kept. Each unsorted
     # array goes once the order is applied, so the cap's own arrays do not
     # come on top of them.
+    pairs = len(pids)
     held = np.bincount(pids, minlength=n)
     order = pair_order(pids, sq, rids, z)
     del pids, sq
@@ -281,7 +285,7 @@ def build_regions(
     by_region += pids
     by_region.sort()  # by region, then ascending point id
     by_region %= n
-    return Regions(ptr, by_region, centers, radii, eps, cfg.m, *copies)
+    return Regions(ptr, by_region, centers, radii, eps, cfg.m, *copies, pairs)
 
 
 def map_step(region: Region, data: Dataset) -> LocalLabeling:
@@ -413,6 +417,7 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     st.t_reduce = time.perf_counter() - t0
     _summarise_regions(st, *per_region)
     st.repeat_points = int(np.count_nonzero(regions.copy_rank > cfg.m))
+    st.region_pairs = regions.pairs
     st.t_thresholds = t_thresholds
     st.t_canopy = t_canopy
     st.t_regions = t_regions

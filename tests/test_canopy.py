@@ -1,6 +1,8 @@
+import importlib.util
 import inspect
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,16 @@ import dapclust.canopy as canopy
 import dapclust.grid as grid
 from dapclust.baselines import knn_reference
 from dapclust.canopy import Canopies, Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
-from dapclust.core import _BLOCK_ENTRIES, Dataset, Partitions
+from dapclust.core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
+from dapclust.datagen import make_blobs
+from dapclust.grid import Grid
 from dapclust.pipeline import PipelineConfig, build_regions
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_inputs", Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+)
+bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_inputs)  # the benchmark's generators, read only
 
 
 def linf(a, b):
@@ -96,6 +106,68 @@ def test_thresholds_bit_identical_to_sequential_knn_mean(n, dim):
         t2 = total / len(range(0, n, stride))
         want = CanopyConfig(3.0 * t2, t2) if t2 else CanopyConfig(3e-9, 1e-9)
         assert estimate_thresholds(data, m) == want
+
+
+def threshold_sample_inputs():
+    """(name, coords, m, route) cases for the thresholds' sample: the route
+    ``sample_kth_distances`` takes, "grid" or "rows"."""
+    blobs = make_blobs(2000, 5, seed=1)[0].coords
+    far = np.array([(-3e12, 0.0)])
+    yield "blobs-10k", make_blobs(10_000, 5, seed=1)[0].coords, 4, "grid"
+    hotspots = bench_inputs.mixed_hotspots(np.random.SeedSequence(7), 4_000, 250)[0]
+    yield "mixed-hotspots", hotspots, 4, "grid"
+    yield "outlier-first", np.vstack([far, blobs]), 4, "grid"
+    yield "outlier-last", np.vstack([blobs, far]), 4, "grid"
+    yield "identical", np.zeros((20_000, 2)), 4, "rows"
+    yield "rounded", np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2, 4, "rows"
+    yield "8-D", make_blobs(3000, 5, seed=1, dim=8)[0].coords, 4, "rows"
+    yield "n=2", blobs[:2], 4, "rows"
+    yield "n=1001", blobs[:1001], 3, "grid"
+    yield "m>=n", blobs[:40], 50, "rows"
+
+
+@pytest.mark.parametrize(
+    "name, coords, m, route", [pytest.param(*case, id=case[0]) for case in threshold_sample_inputs()]
+)
+def test_sample_kth_distances_routes_agree(monkeypatch, name, coords, m, route):
+    # Both routes give the bits of the row blocks over the whole sample:
+    # the grid's own-id drop, copies pushing the own id out of a row, a far
+    # outlier in or out of the sample, and inputs that keep the row blocks.
+    calls = []
+    nearest_others = Grid.nearest_others
+
+    def spy(self, rows, k):
+        calls.append(len(rows))
+        return nearest_others(self, rows, k)
+
+    monkeypatch.setattr(Grid, "nearest_others", spy)
+    got = canopy.sample_kth_distances(coords, m)
+    sample = np.arange(0, len(coords), math.ceil(len(coords) / 1000))
+    want = kth_distances(coords[None], m, sample)[0]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
+    assert ("grid" if calls else "rows") == route, name
+
+
+def test_thresholds_measure_far_fewer_entries_than_sample_times_n(monkeypatch):
+    # On 100k 2-D points the grid route measures far fewer distance entries
+    # than the 10^8 of the sample against every point: the pilot's 32 * n,
+    # and the candidates of the grid's boxes.
+    data = make_blobs(100_000, 5, seed=1)[0]
+    entries = []
+    rows_kth, paired = canopy.kth_distances, grid.paired_squared_distances
+
+    def rows_spy(pts, m, rows):
+        entries.append(len(rows) * pts.shape[1])
+        return rows_kth(pts, m, rows)
+
+    def paired_spy(a, ia, b, ib):
+        entries.append(len(ia))
+        return paired(a, ia, b, ib)
+
+    monkeypatch.setattr(canopy, "kth_distances", rows_spy)
+    monkeypatch.setattr(grid, "paired_squared_distances", paired_spy)
+    estimate_thresholds(data, 4)
+    assert sum(entries) <= 6_500_000  # twice the 3,221,005 measured, 3.2M of them the pilot's
 
 
 def test_thresholds_identical_points_fallback():

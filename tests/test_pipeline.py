@@ -18,6 +18,7 @@ from dapclust.core import (
     Dataset,
     bounding_sphere,
     kth_distances,
+    squared_distances,
     squared_distances_to,
     stacked_bounding_sphere,
 )
@@ -255,11 +256,16 @@ def test_labels_are_canonical_minimums():
 
 def test_stats_populated():
     data, _ = make_blobs(300, 3, seed=19)
-    res = cluster(data, PipelineConfig(m=3))
+    cfg = PipelineConfig(m=3)
+    res = cluster(data, cfg)
     assert res.stats.region_count >= 1
     assert res.stats.max_region_size >= 3
     assert res.stats.t_total > 0
     assert res.stats.uf_ops > 0
+    # The pairs before the cap: every point inside every region's sphere.
+    regions = build_regions(data, canopy_cluster(data, estimate_thresholds(data, cfg.m)), cfg)
+    inside = np.sqrt(squared_distances(regions.centers, data.coords)) <= regions.radii[:, None]
+    assert res.stats.region_pairs == np.count_nonzero(inside) > len(regions.members)
 
 
 def cap_oracle(coords, regions, cap):

@@ -10,9 +10,10 @@ The inputs are the benchmark's (seeds 1-10 of ``blobs_w2``,
 ``mixed_hotspots`` and ``blobs_d8``, made by ``bench/inputs.py`` exactly as
 ``bench/run.py`` makes them) and those of acceptance criteria 4, 5, 6 and 8.
 ``--adversarial`` adds blobs rounded to a 0.5 grid, the same blobs with
-their ids ordered along x, identical points in 2-D and 8-D, and the d = 8
-copies input of ``test_batched_map_matches_map_step_per_region``; at some
-versions of the package these take tens of seconds.
+their ids ordered along x, identical points in 2-D and 8-D, the d = 8
+copies input of ``test_batched_map_matches_map_step_per_region``, and 2,000
+blob points after one point at (-3e12, 0), which lies in the thresholds'
+sample; at some versions of the package these take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, and sha256 digests of: the canopies
@@ -118,6 +119,7 @@ def adversarial_inputs():
         np.repeat(blobs[5:6], 1100, axis=0),
     ])
     yield "adversarial/copies_d8", copies, 4
+    yield "adversarial/far_outlier", np.vstack([[(-3e12, 0.0)], make_blobs(2_000, 5, seed=1)[0].coords]), 4
 
 
 def line(name: str, coords, m: int, naive: bool) -> dict:
