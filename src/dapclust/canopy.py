@@ -11,8 +11,8 @@ import numpy as np
 from .core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
 from .grid import Grid
 
-# The thresholds' sample (see sample_kth_distances): the rows of its pilot,
-# and the share of the row-block entries that the grid's boxes may hold. A
+# The m-th-neighbour routine (see kth_nearest): the rows of its pilot, and
+# the share of the row-block entries that the grid's boxes may hold. A
 # grid query spends about 25 times more per gathered entry than a row block
 # does (measured at d = 2 to 6), so at 4% the two routes cost about the same.
 _PILOT = 32
@@ -44,42 +44,62 @@ class Canopy:
     member_ids: frozenset[int]
 
 
-def sample_kth_distances(coords: np.ndarray, m: int) -> np.ndarray:
-    """Distance to the m-th nearest other row (the farthest when there are
-    fewer) of every ceil(n/1000)-th row of the (n, dim) array ``coords`` by
-    id, n >= 2: the thresholds' deterministic sample, every row up to
-    n = 1000.
+def pilot_grid(coords: np.ndarray, m: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, Grid]:
+    """The pilot of ``rows``, one or more ids into the (n, dim) array
+    ``coords``, n >= 2: a mask of every ceil(len(rows) / 32)-th of them,
+    their distances by ``kth_distances``, and a ``Grid`` of ``coords``.
 
-    Each distance has the bits a knn query gives it, by either of two
-    routes. First a pilot, every ceil(sample/32)-th sample row, is measured
-    against every row by ``kth_distances``. The pilot's median distance (its
-    largest when that is 0, else 1) is the cell side of a ``Grid``: a side
-    set by the data's own distances, which one far outlier or many copies
-    cannot widen. The rest of the sample then goes to
-    ``Grid.nearest_others``, unless the boxes of that reach around the rest
-    hold more than ``_GRID_SHARE`` of the rest's row-block entries (rest
+    The grid's cell side is the pilot's median distance to the m-th nearest
+    other row: a side set by the data's own distances, which one far outlier
+    or many copies cannot widen. Where most of the pilot has m copies the
+    median is 0, and the mean stands in. The largest distance would not do:
+    on blobs rounded to a 0.5 grid it gives cells 32 times wider, and a
+    naive query over all points 15 times slower. Where all of the pilot has
+    m copies the side is 1e-9, which the grid raises to its span * 2**-40;
+    a fixed side of 1 made that query 80 times slower on blobs of 5 copies
+    each.
+    """
+    pilot = np.arange(len(rows)) % math.ceil(len(rows) / _PILOT) == 0
+    kth = kth_distances(coords[None], m, rows[pilot])[0]
+    side = float(np.median(kth)) or float(kth.mean()) or 1e-9
+    return pilot, kth, Grid(coords, side)
+
+
+def kth_nearest(coords: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
+    """Distance from each of the ``rows`` (ids) of the (n, dim) array
+    ``coords`` to its m-th nearest other row, or its farthest when there
+    are fewer; 0 when n <= 1. The bits of ``kth_distances(coords[None], m,
+    rows)[0]``, by either of two routes.
+
+    First the pilot (see ``pilot_grid``) is measured against every row by
+    ``kth_distances``, and sets the grid's cell side. The rest of the rows
+    then go to ``Grid.nearest_others``, unless the boxes of that side around
+    them hold more than ``_GRID_SHARE`` of their row-block entries (rest
     times n). Then ``kth_distances`` measures the rest too. The grid keys
     only two coordinates, so its boxes hold about 0.2% of those entries on
     2-D blobs, 1.5% on 2-D blobs with hotspots, 3% at d = 4 and 17% at
     d = 8; where most points share one cell they hold all of them.
     """
-    n = len(coords)
-    sample = np.arange(0, n, math.ceil(n / 1000))
-    pilot = np.zeros(len(sample), dtype=bool)
-    pilot[:: math.ceil(len(sample) / _PILOT)] = True
-    kth = np.empty(len(sample))
-    kth[pilot] = kth_distances(coords[None], m, sample[pilot])[0]
-    rest = sample[~pilot]
+    kth = np.zeros(len(rows))
+    if len(coords) <= 1 or not len(rows):
+        return kth
+    pilot, kth[pilot], grid = pilot_grid(coords, m, rows)  # kth[pilot] takes the new mask
+    rest = rows[~pilot]
     if not len(rest):
         return kth
-    side = float(np.median(kth[pilot])) or float(kth[pilot].max()) or 1.0
-    grid = Grid(coords, side)
-    _, start, stop = grid.boxes(coords[rest], side)
-    if np.sum(stop - start) <= _GRID_SHARE * len(rest) * n:
+    _, start, stop = grid.boxes(coords[rest], grid.side)
+    if np.sum(stop - start) <= _GRID_SHARE * len(rest) * len(coords):
         kth[~pilot] = grid.nearest_others(rest, m)[1][:, -1]
     else:
         kth[~pilot] = kth_distances(coords[None], m, rest)[0]
     return kth
+
+
+def sample_kth_distances(coords: np.ndarray, m: int) -> np.ndarray:
+    """``kth_nearest`` of every ceil(n/1000)-th row of the (n, dim) array
+    ``coords`` by id, n >= 2: the thresholds' deterministic sample, every
+    row up to n = 1000."""
+    return kth_nearest(coords, m, np.arange(0, len(coords), math.ceil(len(coords) / 1000)))
 
 
 def estimate_thresholds(data: Dataset, m: int) -> CanopyConfig:

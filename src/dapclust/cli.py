@@ -11,14 +11,13 @@ import numpy as np
 
 from . import datagen
 from .baselines import KMeansConfig, dbscan_reference, kmeans
-from .canopy import CanopyConfig
+from .canopy import CanopyConfig, kth_nearest
 from .core import (
     NOISE,
     ClusterResult,
     Dataset,
     RunStats,
     distance_coords,
-    kth_distances,
     load_csv,
     save_csv,
 )
@@ -283,20 +282,22 @@ def epsilon_grid_report(named_datasets, m: int, grid_size: int = 20, out=None):
     the quadratic reference DBSCAN and tabulate the agreement per cell.
 
     named_datasets is a list of (name, Dataset, truth_labels). The grid is
-    log-spaced from the smallest positive nearest-neighbour distance (exact
-    repeats lie at 0) to the largest diameter across the datasets; a
-    ValueError says when no two points differ. Returns one dict per grid
-    value with the per-dataset agreement scores. Used to demonstrate that no
-    single radius serves data whose density varies widely.
+    log-spaced from the smallest positive distance between two distinct
+    locations, the nearest-neighbour distances of each dataset's distinct
+    rows (``canopy.kth_nearest``), to the largest diameter across the
+    datasets; a ValueError says when no two points differ. Returns one dict
+    per grid value with the per-dataset agreement scores. Used to
+    demonstrate that no single radius serves data whose density varies
+    widely.
     """
     out = out or sys.stdout
     lo = float("inf")
     hi = 0.0
     for _name, data, _truth in named_datasets:
-        coords = data.coords
-        nearest = kth_distances(coords[None], 1)
+        distinct = np.unique(data.coords, axis=0)
+        nearest = kth_nearest(distinct, 1, np.arange(len(distinct)))
         lo = min(lo, float(nearest[nearest > 0].min(initial=np.inf)))
-        hi = max(hi, distance_coords(coords.max(axis=0), coords.min(axis=0)))
+        hi = max(hi, distance_coords(distinct.max(axis=0), distinct.min(axis=0)))
     if not lo < np.inf:
         raise ValueError("epsilon grid needs two distinct points in some dataset")
     grid = np.geomspace(lo, hi, grid_size)

@@ -165,13 +165,13 @@ def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
     picks the rows measured, the same in every partition, and the result is
     (b, len(rows)).
 
-    The package's row-block k-th-neighbour routine: the scan radii and the
-    canopy thresholds' pilot (and their sample where the grid prunes
-    little, see ``canopy.sample_kth_distances``) measure with it. The
-    chosen rows are measured against their whole partition with
-    ``squared_distances``, so each distance has the bits of the scalar rule,
-    in blocks of at most ``_BLOCK_ENTRIES`` entries: whole partitions at a
-    time when they fit, else row slabs of one partition.
+    The package's row-block k-th-neighbour routine: the pipeline's scan
+    radii measure with it, and so do the pilot of ``canopy.kth_nearest``
+    and the rest of its rows where the grid prunes little. The chosen rows
+    are measured against their whole partition with ``squared_distances``,
+    so each distance has the bits of the scalar rule, in blocks of at most
+    ``_BLOCK_ENTRIES`` entries: whole partitions at a time when they fit,
+    else row slabs of one partition.
     """
     b, k = pts.shape[:2]
     rows = np.arange(k) if rows is None else np.asarray(rows)

@@ -1,9 +1,12 @@
 """Per-partition scan-radius inference and the density-reachability merge.
 
-The scan radius is the mean of ``core.kth_distances`` over a partition's
-rows. The merge runs as array passes over stacks of padded partitions, in
-distance blocks of at most ``_BLOCK_ENTRIES`` entries, at every partition
-size: groups of whole partitions, or row slabs of a large one. One sparse
+The scan radius is the mean distance to the m-th nearest neighbour over a
+partition's rows. ``estimate_epsilon`` measures them with
+``canopy.kth_nearest``, through the grid where its boxes prune, and the
+pipeline's stacks of canopies with ``core.kth_distances``; both give the
+same bits. The merge runs as array passes over stacks of padded
+partitions, in distance blocks of at most ``_BLOCK_ENTRIES`` entries, at
+every partition size: groups of whole partitions, or row slabs of a large one. One sparse
 label propagation, ``_lowest_linked``, gives the merge's components, and
 the pipeline's reduce uses it too.
 """
@@ -15,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, NOISE, Dataset, kth_distances, squared_distances
+from .canopy import kth_nearest
+from .core import _BLOCK_ENTRIES, NOISE, Dataset, squared_distances
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,7 @@ def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
 
     When the partition holds m or fewer points the farthest available
     neighbour stands in; a single point yields 0. The distances are
+    ``canopy.kth_nearest`` of every row, which has the bits of
     ``kth_distances`` of a stack of one partition, and numpy's ``mean``
     averages them as one contiguous row; its pairwise sum depends on the
     row length, so a caller that stacks partitions stacks equal sizes.
@@ -59,7 +64,7 @@ def estimate_epsilon(coords: np.ndarray, m: int, c: float = 1.0) -> float:
         raise ValueError("c must be positive and finite")
     if len(coords) == 0:
         return 0.0
-    return float(c * kth_distances(coords[None], m)[0].mean())
+    return float(c * kth_nearest(coords, m, np.arange(len(coords))).mean())
 
 
 def density_cluster(data: Dataset, ids, cfg: DensityConfig) -> LocalLabeling:

@@ -6,7 +6,8 @@ chain length. Kept both as a low-noise clusterer and as the demonstrator the
 adaptive pipeline is measured against.
 
 The neighbours come from one batched query on the pipeline's coordinate
-grid, and the links fold by the pipeline's label propagation.
+grid, whose cell side is set by ``canopy.pilot_grid``, and the links fold by
+the pipeline's label propagation.
 """
 
 import time
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canopy import sample_kth_distances
+from .canopy import pilot_grid
 from .core import ClusterResult, Dataset, RunStats
 from .density import _lowest_linked
-from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -40,22 +40,20 @@ def naive_cluster(data: Dataset, cfg: NaiveConfig) -> ClusterResult:
     everything reachable.
 
     Each point's m nearest other points come from one
-    ``Grid.nearest_others`` query, the one the canopy thresholds' sample
-    runs where the grid's boxes prune. The grid's cells are as wide as the
-    median distance to the m-th nearest other point over that sample
-    (``sample_kth_distances``), or their mean when most of those points
-    have m copies. The thresholds' mean alone would let one far outlier put
-    every other point in one cell, and make the query quadratic.
+    ``Grid.nearest_others`` query over every point, on the grid of
+    ``canopy.pilot_grid``: the one ``canopy.kth_nearest`` queries where its
+    boxes prune, with cells as wide as the median distance to the m-th
+    nearest other point over a pilot of 32 points. A mean over all points
+    would let one far outlier put every other point in one cell, and make
+    the query quadratic.
     """
     start = time.perf_counter()
     n = len(data)
     if n < 2:
         return ClusterResult(list(range(n)), set(), RunStats())
-    kth = sample_kth_distances(data.coords, cfg.m)
-    side = float(np.median(kth)) or float(kth.mean()) or 1e-9
-    ids, _ = Grid(data.coords, side).nearest_others(np.arange(n), cfg.m)
-    heads = np.repeat(np.arange(n), ids.shape[1])
-    labels = _lowest_linked(np.arange(n), heads, ids.ravel())
-    stats = RunStats(uf_ops=len(heads))
-    stats.t_total = time.perf_counter() - start
+    rows = np.arange(n)
+    ids, _ = pilot_grid(data.coords, cfg.m, rows)[2].nearest_others(rows, cfg.m)
+    heads = np.repeat(rows, ids.shape[1])
+    labels = _lowest_linked(rows, heads, ids.ravel())
+    stats = RunStats(uf_ops=len(heads), t_total=time.perf_counter() - start)
     return ClusterResult(labels.tolist(), set(), stats)

@@ -9,11 +9,13 @@ import pytest
 from test_imports import imported_names
 
 import dapclust.canopy as canopy
+import dapclust.core as core
 import dapclust.grid as grid
 from dapclust.baselines import knn_reference
 from dapclust.canopy import Canopies, Canopy, CanopyConfig, canopy_cluster, estimate_thresholds
 from dapclust.core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
 from dapclust.datagen import make_blobs
+from dapclust.density import estimate_epsilon
 from dapclust.grid import Grid
 from dapclust.pipeline import PipelineConfig, build_regions
 
@@ -119,11 +121,24 @@ def threshold_sample_inputs():
     yield "outlier-first", np.vstack([far, blobs]), 4, "grid"
     yield "outlier-last", np.vstack([blobs, far]), 4, "grid"
     yield "identical", np.zeros((20_000, 2)), 4, "rows"
-    yield "rounded", np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2, 4, "rows"
+    yield "rounded", np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2, 4, "grid"
     yield "8-D", make_blobs(3000, 5, seed=1, dim=8)[0].coords, 4, "rows"
     yield "n=2", blobs[:2], 4, "rows"
     yield "n=1001", blobs[:1001], 3, "grid"
     yield "m>=n", blobs[:40], 50, "rows"
+
+
+def grid_calls(monkeypatch) -> list[int]:
+    """The row counts of the ``Grid.nearest_others`` calls from here on."""
+    calls = []
+    nearest_others = Grid.nearest_others
+
+    def spy(self, rows, k):
+        calls.append(len(rows))
+        return nearest_others(self, rows, k)
+
+    monkeypatch.setattr(Grid, "nearest_others", spy)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -133,14 +148,7 @@ def test_sample_kth_distances_routes_agree(monkeypatch, name, coords, m, route):
     # Both routes give the bits of the row blocks over the whole sample:
     # the grid's own-id drop, copies pushing the own id out of a row, a far
     # outlier in or out of the sample, and inputs that keep the row blocks.
-    calls = []
-    nearest_others = Grid.nearest_others
-
-    def spy(self, rows, k):
-        calls.append(len(rows))
-        return nearest_others(self, rows, k)
-
-    monkeypatch.setattr(Grid, "nearest_others", spy)
+    calls = grid_calls(monkeypatch)
     got = canopy.sample_kth_distances(coords, m)
     sample = np.arange(0, len(coords), math.ceil(len(coords) / 1000))
     want = kth_distances(coords[None], m, sample)[0]
@@ -148,26 +156,71 @@ def test_sample_kth_distances_routes_agree(monkeypatch, name, coords, m, route):
     assert ("grid" if calls else "rows") == route, name
 
 
-def test_thresholds_measure_far_fewer_entries_than_sample_times_n(monkeypatch):
-    # On 100k 2-D points the grid route measures far fewer distance entries
-    # than the 10^8 of the sample against every point: the pilot's 32 * n,
-    # and the candidates of the grid's boxes.
-    data = make_blobs(100_000, 5, seed=1)[0]
-    entries = []
-    rows_kth, paired = canopy.kth_distances, grid.paired_squared_distances
+def epsilon_inputs():
+    """(name, coords, m) cases for ``estimate_epsilon`` over every row."""
+    blobs = make_blobs(2000, 5, seed=1)[0].coords
+    yield "blobs", blobs, 4
+    yield "rounded", np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2, 4
+    yield "outlier-first", np.vstack([[(-3e12, 0.0)], blobs]), 4
+    for n in (0, 1, 2):
+        yield f"n={n}", blobs[:n], 4
+    yield "m>=n", blobs[:40], 50
+    yield "8-D", make_blobs(3000, 5, seed=1, dim=8)[0].coords, 4
 
-    def rows_spy(pts, m, rows):
-        entries.append(len(rows) * pts.shape[1])
-        return rows_kth(pts, m, rows)
+
+@pytest.mark.parametrize("share", [0.0, math.inf], ids=["rows", "grid"])
+@pytest.mark.parametrize("name, coords, m", [pytest.param(*case, id=case[0]) for case in epsilon_inputs()])
+def test_estimate_epsilon_routes_agree(monkeypatch, name, coords, m, share):
+    # A share of 0 keeps every row past the pilot on the row blocks, and one
+    # of inf sends them all to the grid, at d = 8 too; the mean has the bits
+    # of the row blocks over every row either way.
+    calls = grid_calls(monkeypatch)
+    monkeypatch.setattr(canopy, "_GRID_SHARE", share)
+    got = estimate_epsilon(coords, m)
+    want = float(kth_distances(coords[None], m)[0].mean()) if len(coords) else 0.0
+    assert got.hex() == want.hex(), name
+    assert bool(calls) == (share > 0 and len(coords) > canopy._PILOT), name
+
+
+def measured_entries(monkeypatch) -> list[int]:
+    """The distance entries measured from here on, one count per call: the
+    blocks of ``core.squared_distances``, which ``kth_distances`` measures
+    with whichever module calls it, and the grid's candidate pairs."""
+    entries = []
+    blocks, paired = core.squared_distances, grid.paired_squared_distances
+
+    def blocks_spy(a, b):
+        out = blocks(a, b)
+        entries.append(out.size)
+        return out
 
     def paired_spy(a, ia, b, ib):
         entries.append(len(ia))
         return paired(a, ia, b, ib)
 
-    monkeypatch.setattr(canopy, "kth_distances", rows_spy)
+    monkeypatch.setattr(core, "squared_distances", blocks_spy)
     monkeypatch.setattr(grid, "paired_squared_distances", paired_spy)
+    return entries
+
+
+def test_thresholds_measure_far_fewer_entries_than_sample_times_n(monkeypatch):
+    # On 100k 2-D points the grid route measures far fewer distance entries
+    # than the 10^8 of the sample against every point: the pilot's 32 * n,
+    # and the candidates of the grid's boxes.
+    data = make_blobs(100_000, 5, seed=1)[0]
+    entries = measured_entries(monkeypatch)
     estimate_thresholds(data, 4)
     assert sum(entries) <= 6_500_000  # twice the 3,221,005 measured, 3.2M of them the pilot's
+
+
+def test_epsilon_measures_far_fewer_entries_than_n_squared(monkeypatch):
+    # Criterion 7's 50k input: every row through the grid measures the
+    # pilot's 32 * n entries and the boxes' candidates, not the 2.5e9 of
+    # every row against every row.
+    coords = make_blobs(50_000, 5, seed=2, spread=1.0, separation=40.0)[0].coords
+    entries = measured_entries(monkeypatch)
+    estimate_epsilon(coords, 4)
+    assert sum(entries) <= 5_000_000  # 2,639,485 measured, 1.6M of them the pilot's
 
 
 def test_thresholds_identical_points_fallback():

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -298,5 +299,10 @@ def test_epsilon_grid_starts_at_smallest_positive_gap():
     grid = [row["epsilon"] for row in rows]
     assert grid[0] == pytest.approx(0.5)
     assert grid[-1] == pytest.approx(5.0)
+    # Every location has a copy, so every nearest distance over all rows is
+    # 0; the distinct locations lie sqrt(2) apart.
+    data = Dataset.from_coords([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])
+    rows = epsilon_grid_report([("pairs", data, [0, 0, 1, 1])], m=2, grid_size=5, out=io.StringIO())
+    assert rows[0]["epsilon"] == pytest.approx(math.sqrt(2))
     with pytest.raises(ValueError, match="two distinct points"):
         epsilon_grid_report([("same", Dataset.from_coords([(1.0, 2.0)] * 3), [0, 0, 0])], m=2)

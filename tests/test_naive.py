@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import dapclust.naive as naive
 from dapclust.core import Dataset, NOISE
 from dapclust.datagen import make_blobs, make_bridge
 from dapclust.grid import Grid
@@ -158,3 +159,22 @@ def test_far_outlier_costs_few_box_rounds(monkeypatch):
     monkeypatch.setattr(Grid, "_next_line", lambda self, centers, reach, held: np.zeros(len(centers)))
     assert naive_cluster(data, NaiveConfig(3)).labels == got
     assert len(calls) > 40
+
+
+@pytest.mark.parametrize("side", [1e-12, 1e12], ids=["tiny", "huge"])
+def test_labels_do_not_depend_on_the_grid_side(monkeypatch, side):
+    # The shared side sets only what the query costs: a tiny one makes every
+    # box grow from one cell, a huge one puts every point in one box.
+    blobs = make_blobs(2000, 5, seed=1)[0].coords
+    inputs = [
+        blobs,
+        np.round(blobs * 2) / 2,
+        np.vstack([[(-3e12, 0.0)], blobs]),
+        make_blobs(600, 3, seed=8, dim=8)[0].coords,
+    ]
+    for coords in inputs:
+        data = Dataset.from_coords(coords)
+        shared = naive_cluster(data, NaiveConfig(3)).labels
+        with monkeypatch.context() as patch:
+            patch.setattr(naive, "pilot_grid", lambda coords, m, rows: (None, None, Grid(coords, side)))
+            assert naive_cluster(data, NaiveConfig(3)).labels == shared

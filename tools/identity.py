@@ -16,7 +16,8 @@ blob points after one point at (-3e12, 0), which lies in the thresholds'
 sample; at some versions of the package these take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
-t2 as float hex at m = 3, 4 and 8, and sha256 digests of: the canopies
+t2 as float hex at m = 3, 4 and 8, ``estimate_epsilon`` over every row at
+the input's m as float hex, and sha256 digests of: the canopies
 (seed and ascending members), the region arrays (``ptr`` and ``members``,
 and ``centers``, ``radii`` and ``epsilon`` as float hex), the labels, the
 core flags, ``uf_ops`` and the ``RunStats`` region summary. The canopies
@@ -50,6 +51,7 @@ from dapclust import (  # noqa: E402
     build_regions,
     canopy_cluster,
     cluster,
+    estimate_epsilon,
     estimate_thresholds,
     make_blobs,
     make_bridge,
@@ -137,6 +139,7 @@ def line(name: str, coords, m: int, naive: bool) -> dict:
         "input": name,
         "m": m,
         "thresholds": thresholds,
+        "epsilon": estimate_epsilon(coords, m).hex(),
         "canopies": digest([[c.center_id, sorted(c.member_ids)] for c in canopies]),
         "regions": digest([
             regions.ptr.tolist(),
