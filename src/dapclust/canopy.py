@@ -12,11 +12,15 @@ from .core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
 from .grid import Grid
 
 # The m-th-neighbour routine (see kth_nearest): the rows of its pilot, and
-# the share of the row-block entries that the grid's boxes may hold. A
-# grid query spends about 25 times more per gathered entry than a row block
-# does (measured at d = 2 to 6), so at 4% the two routes cost about the same.
+# the share of the row-block entries that the grid's boxes may hold for its
+# queries. Past it the cell blocks are cheaper. With each route forced on
+# 1,000-row samples, the queries took 0.34 to 0.74 times as long as the cell
+# blocks at shares of 0.2% to 1.6% (2-D blobs, with and without hotspots),
+# about as long at 1% to 3% (3-D blobs, 2-D hotspots), 1.1 to 1.3 times as
+# long at 3% to 4.2% (2-D hotspots), 1.7 times at 2.9% (uniform 3-D), 2.2
+# times at 3.4% (4-D blobs) and 4 to 7 times at 7% to 17% (d = 4 to 8).
 _PILOT = 32
-_GRID_SHARE = 0.04
+_GRID_SHARE = 0.03
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,20 @@ def kth_nearest(coords: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     """Distance from each of the ``rows`` (ids) of the (n, dim) array
     ``coords`` to its m-th nearest other row, or its farthest when there
     are fewer; 0 when n <= 1. The bits of ``kth_distances(coords[None], m,
-    rows)[0]``, by either of two routes.
+    rows)[0]``, by either of two grid routes.
 
     First the pilot (see ``pilot_grid``) is measured against every row by
     ``kth_distances``, and sets the grid's cell side. The rest of the rows
     then go to ``Grid.nearest_others``, unless the boxes of that side around
     them hold more than ``_GRID_SHARE`` of their row-block entries (rest
-    times n). Then ``kth_distances`` measures the rest too. The grid keys
-    only two coordinates, so its boxes hold about 0.2% of those entries on
-    2-D blobs, 1.5% on 2-D blobs with hotspots, 3% at d = 4 and 17% at
-    d = 8; where most points share one cell they hold all of them.
+    times n). Then ``Grid.kth_others`` measures the rest in cell blocks,
+    each cell's rows against the points of its box, which first reaches the
+    pilot's largest distance; the few rows whose m-th distance lies past it
+    take one more round. The grid keys only two coordinates, so boxes of
+    the cell side hold about 0.2% of the row-block entries on 2-D blobs,
+    1% to 4% on 2-D blobs with hotspots, 3.4% at d = 4 and 17% at d = 8;
+    where most points share one cell they hold all of them, and the cell
+    blocks are row blocks of ``kth_distances``.
     """
     kth = np.zeros(len(rows))
     if len(coords) <= 1 or not len(rows):
@@ -91,7 +99,7 @@ def kth_nearest(coords: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     if np.sum(stop - start) <= _GRID_SHARE * len(rest) * len(coords):
         kth[~pilot] = grid.nearest_others(rest, m)[1][:, -1]
     else:
-        kth[~pilot] = kth_distances(coords[None], m, rest)[0]
+        kth[~pilot] = grid.kth_others(rest, m, kth[pilot].max())
     return kth
 
 

@@ -167,11 +167,11 @@ def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
 
     The package's row-block k-th-neighbour routine: the pipeline's scan
     radii measure with it, and so do the pilot of ``canopy.kth_nearest``
-    and the rest of its rows where the grid prunes little. The chosen rows
-    are measured against their whole partition with ``squared_distances``,
-    so each distance has the bits of the scalar rule, in blocks of at most
-    ``_BLOCK_ENTRIES`` entries: whole partitions at a time when they fit,
-    else row slabs of one partition.
+    and the cell blocks of ``Grid.kth_others`` whose box holds every point.
+    The chosen rows are measured against their whole partition with
+    ``squared_distances``, so each distance has the bits of the scalar
+    rule, in blocks of at most ``_BLOCK_ENTRIES`` entries: whole partitions
+    at a time when they fit, else row slabs of one partition.
     """
     b, k = pts.shape[:2]
     rows = np.arange(k) if rows is None else np.asarray(rows)
@@ -389,8 +389,9 @@ def save_csv(data: Dataset, path) -> None:
 class RunStats:
     """Per-run instrumentation surfaced in reports and scaling checks.
 
-    The stage times (canopy with its thresholds, regions, map, reduce)
-    together make up ``t_total``. ``t_thresholds`` is the part of
+    The stage times (canopy with its thresholds, regions, map, reduce with
+    the region summary) together make up ``t_total``: each stage ends at the
+    clock reading where the next one starts. ``t_thresholds`` is the part of
     ``t_canopy`` spent estimating the canopy thresholds, 0 when they were
     given.
 

@@ -2,8 +2,8 @@
 
 The scan radius is the mean distance to the m-th nearest neighbour over a
 partition's rows. ``estimate_epsilon`` measures them with
-``canopy.kth_nearest``, through the grid where its boxes prune, and the
-pipeline's stacks of canopies with ``core.kth_distances``; both give the
+``canopy.kth_nearest``, through the grid's queries or its cell blocks, and
+the pipeline's stacks of canopies with ``core.kth_distances``; both give the
 same bits. The merge runs as array passes over stacks of padded
 partitions, in distance blocks of at most ``_BLOCK_ENTRIES`` entries, at
 every partition size: groups of whole partitions, or row slabs of a large one. One sparse

@@ -5,14 +5,14 @@ finite spread, and sorted by cell, so the cells of one row of a query's box
 are one slice of the sorted ids. Exact range and nearest queries measure only
 the points of those slices, as in Gan & Tao's grid for DBSCAN ("DBSCAN
 Revisited", SIGMOD 2015). The canopy sweep takes its candidates from the same
-boxes.
+boxes, and ``kth_others`` measures whole cells of rows against theirs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, pair_order, paired_squared_distances
+from .core import _BLOCK_ENTRIES, kth_distances, pair_order, paired_squared_distances, squared_distances
 
 
 class Grid:
@@ -95,8 +95,11 @@ class Grid:
         rounding of the distance sums (2**-20 of the reach) and of the cell
         arithmetic (2**-8 of a cell) for centres near the points.
         """
-        q = len(centers)
-        _, lo, hi = self._box(centers, reach)
+        return self._slices(*self._box(centers, reach)[1:])
+
+    def _slices(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``boxes`` of the boxes from cells ``lo`` to ``hi``, (q, 2) arrays."""
+        q = len(lo)
         x0 = np.searchsorted(self.xs, lo[:, 0])
         x1 = np.searchsorted(self.xs, hi[:, 0], side="right")
         y0 = np.searchsorted(self.ys, lo[:, 1])
@@ -208,3 +211,76 @@ class Grid:
         drop[:, -1] |= ~drop.any(axis=1)
         shape = (len(rows), ids.shape[1] - 1)
         return ids[~drop].reshape(shape), dist[~drop].reshape(shape)
+
+    def kth_others(self, rows: np.ndarray, m: int, reach: float) -> np.ndarray:
+        """Distance from each of the grid's points ``rows`` (ids) to its m-th
+        nearest other point, or its farthest when there are fewer, with the
+        bits of ``kth_distances(coords[None], m, rows)[0]``: the rows measured
+        in cell blocks, each against the points of its cell's box.
+
+        The first round's boxes reach ``reach`` (>= 0) past their cells (see
+        ``_cell_blocks``). A row's m-th distance among the points of its box
+        is exact when it is at most the reach, since the box then holds every
+        nearer point; else it is an upper bound, and the row takes one more
+        round at that distance, whose box holds the m points found and so
+        every point nearer than them. A row that found fewer than m others
+        takes a round whose box holds every point.
+        """
+        n = len(self.coords)
+        where = np.empty(n, dtype=np.intp)  # each point's place in order
+        where[self.order] = np.arange(n)
+        # The points one coordinate per row: blocks against a few hundred
+        # points or more take 10-20% less time with each column contiguous.
+        cols = np.ascontiguousarray(self.coords.T)
+        out = np.empty(len(rows))
+        todo = np.argsort(where[rows])  # the rows by cell, then id
+        reach = np.full(len(rows), float(reach))
+        while len(todo):
+            got, exact = self._cell_blocks(rows[todo], m, reach[todo], where, cols)
+            exact |= got <= reach[todo]
+            out[todo[exact]] = got[exact]
+            reach[todo] = got
+            todo = todo[~exact]
+        return out
+
+    def _cell_blocks(self, rows, m, reach, where, cols):
+        """One round of ``kth_others`` over ``rows``, by cell: each row's
+        m-th distance among the points of its cell's box (inf where they
+        hold fewer than m others), and whether that box holds every point.
+
+        A cell's box is the union of its rows' boxes of their ``reach`` (see
+        ``boxes``). Its rows are measured against the box's points with
+        ``squared_distances``, in slabs of at most ``_BLOCK_ENTRIES``
+        entries. The rows of cells whose box holds every point are measured
+        together, as one row block of ``kth_distances``.
+        """
+        coords, n = self.coords, len(self.coords)
+        kth = min(m, n - 1) - 1
+        at = where[rows]
+        new = np.diff(self.key[at], prepend=-1) != 0
+        first, group = np.flatnonzero(new), np.cumsum(new) - 1
+        ends = np.append(first, len(rows)).tolist()
+        _, lo, hi = self._box(coords[rows], reach)
+        query, start, stop = self._slices(np.minimum.reduceat(lo, first), np.maximum.reduceat(hi, first))
+        length = stop - start
+        offset = np.cumsum(length) - length
+        offset -= offset[np.searchsorted(query, query)]  # each slice's place in its box
+        size = np.bincount(query, weights=length, minlength=len(first)).astype(np.intp)
+        # Each row lies in its own cell's box, in the slice holding its place in order.
+        s = np.searchsorted(query * n + start, group * n + at, side="right") - 1
+        own = offset[s] + at - start[s]
+        full = size[group] == n
+        out = np.full(len(rows), np.inf)
+        out[full] = kth_distances(cols.T[None], m, rows[full])[0]
+        bounds = np.searchsorted(query, np.arange(len(first) + 1)).tolist()
+        for g in np.flatnonzero((size > kth + 1) & (size < n)).tolist():
+            a, b = bounds[g], bounds[g + 1]
+            box = np.concatenate([self.order[i:j] for i, j in zip(start[a:b].tolist(), stop[a:b].tolist())])
+            pts = cols[:, box].T
+            slab = max(1, _BLOCK_ENTRIES // len(box))
+            for r0 in range(ends[g], ends[g + 1], slab):
+                r1 = min(r0 + slab, ends[g + 1])
+                sq = squared_distances(coords[rows[r0:r1]], pts)
+                sq[np.arange(r1 - r0), own[r0:r1]] = np.inf  # the point itself
+                out[r0:r1] = np.sqrt(np.partition(sq, kth, axis=1)[:, kth])
+        return out, full

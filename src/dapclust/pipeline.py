@@ -393,34 +393,30 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     Output is a pure function of (data, cfg). ``cfg.worker_count`` is
     accepted and validated but does not change how the map runs.
     """
-    t_start = time.perf_counter()
+    # One clock reading per stage boundary, so each stage ends where the
+    # next one starts and the stage times add up to t_total.
+    start = time.perf_counter()
     n = len(data)
     if n == 0:
         return ClusterResult([], set(), RunStats())
-    t0 = time.perf_counter()
     canopy_cfg = cfg.canopy or estimate_thresholds(data, cfg.m)
-    t_thresholds = 0.0 if cfg.canopy else time.perf_counter() - t0
+    thresholds_end = time.perf_counter()
     canopies = canopy_cluster(data, canopy_cfg)
-    t_canopy = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    canopy_end = time.perf_counter()
     regions = build_regions(data, canopies, cfg)
-    t_regions = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    regions_end = time.perf_counter()
     memberships, per_region = _map_regions(data, regions, cfg.m)
-    t_map = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    map_end = time.perf_counter()
     result = _fold(n, *memberships)
     st = result.stats
-    st.t_reduce = time.perf_counter() - t0
     _summarise_regions(st, *per_region)
     st.repeat_points = int(np.count_nonzero(regions.copy_rank > cfg.m))
     st.region_pairs = regions.pairs
-    st.t_thresholds = t_thresholds
-    st.t_canopy = t_canopy
-    st.t_regions = t_regions
-    st.t_map = t_map
-    st.t_total = time.perf_counter() - t_start
+    end = time.perf_counter()
+    st.t_thresholds = 0.0 if cfg.canopy else thresholds_end - start
+    st.t_canopy = canopy_end - start
+    st.t_regions = regions_end - canopy_end
+    st.t_map = map_end - regions_end
+    st.t_reduce = end - map_end
+    st.t_total = end - start
     return result

@@ -112,7 +112,7 @@ def test_thresholds_bit_identical_to_sequential_knn_mean(n, dim):
 
 def threshold_sample_inputs():
     """(name, coords, m, route) cases for the thresholds' sample: the route
-    ``sample_kth_distances`` takes, "grid" or "rows"."""
+    ``sample_kth_distances`` takes, "grid" or "cells"."""
     blobs = make_blobs(2000, 5, seed=1)[0].coords
     far = np.array([(-3e12, 0.0)])
     yield "blobs-10k", make_blobs(10_000, 5, seed=1)[0].coords, 4, "grid"
@@ -120,12 +120,12 @@ def threshold_sample_inputs():
     yield "mixed-hotspots", hotspots, 4, "grid"
     yield "outlier-first", np.vstack([far, blobs]), 4, "grid"
     yield "outlier-last", np.vstack([blobs, far]), 4, "grid"
-    yield "identical", np.zeros((20_000, 2)), 4, "rows"
+    yield "identical", np.zeros((20_000, 2)), 4, "cells"
     yield "rounded", np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2, 4, "grid"
-    yield "8-D", make_blobs(3000, 5, seed=1, dim=8)[0].coords, 4, "rows"
-    yield "n=2", blobs[:2], 4, "rows"
+    yield "8-D", make_blobs(3000, 5, seed=1, dim=8)[0].coords, 4, "cells"
+    yield "n=2", blobs[:2], 4, "cells"
     yield "n=1001", blobs[:1001], 3, "grid"
-    yield "m>=n", blobs[:40], 50, "rows"
+    yield "m>=n", blobs[:40], 50, "cells"
 
 
 def grid_calls(monkeypatch) -> list[int]:
@@ -147,13 +147,13 @@ def grid_calls(monkeypatch) -> list[int]:
 def test_sample_kth_distances_routes_agree(monkeypatch, name, coords, m, route):
     # Both routes give the bits of the row blocks over the whole sample:
     # the grid's own-id drop, copies pushing the own id out of a row, a far
-    # outlier in or out of the sample, and inputs that keep the row blocks.
+    # outlier in or out of the sample, and inputs that take the cell blocks.
     calls = grid_calls(monkeypatch)
     got = canopy.sample_kth_distances(coords, m)
     sample = np.arange(0, len(coords), math.ceil(len(coords) / 1000))
     want = kth_distances(coords[None], m, sample)[0]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
-    assert ("grid" if calls else "rows") == route, name
+    assert ("grid" if calls else "cells") == route, name
 
 
 def epsilon_inputs():
@@ -171,8 +171,8 @@ def epsilon_inputs():
 @pytest.mark.parametrize("share", [0.0, math.inf], ids=["rows", "grid"])
 @pytest.mark.parametrize("name, coords, m", [pytest.param(*case, id=case[0]) for case in epsilon_inputs()])
 def test_estimate_epsilon_routes_agree(monkeypatch, name, coords, m, share):
-    # A share of 0 keeps every row past the pilot on the row blocks, and one
-    # of inf sends them all to the grid, at d = 8 too; the mean has the bits
+    # A share of 0 sends every row past the pilot to the cell blocks, and
+    # one of inf to the grid's queries, at d = 8 too; the mean has the bits
     # of the row blocks over every row either way.
     calls = grid_calls(monkeypatch)
     monkeypatch.setattr(canopy, "_GRID_SHARE", share)
@@ -182,10 +182,69 @@ def test_estimate_epsilon_routes_agree(monkeypatch, name, coords, m, share):
     assert bool(calls) == (share > 0 and len(coords) > canopy._PILOT), name
 
 
+def cell_rounds(monkeypatch) -> list[tuple[int, float]]:
+    """The rounds of ``Grid.kth_others`` from here on: each one's row count
+    and largest reach."""
+    rounds = []
+    cell_blocks = Grid._cell_blocks
+
+    def spy(self, rows, m, reach, *args):
+        rounds.append((len(rows), float(np.max(reach))))
+        return cell_blocks(self, rows, m, reach, *args)
+
+    monkeypatch.setattr(Grid, "_cell_blocks", spy)
+    return rounds
+
+
+def cell_route_inputs():
+    """(name, coords, m) cases for the cell blocks of ``kth_nearest``."""
+    blobs = make_blobs(2000, 5, seed=1)[0].coords
+    blobs8 = make_blobs(2000, 5, seed=1, dim=8)[0].coords
+    yield "blobs-d8", bench_inputs.blobs(np.random.SeedSequence(1).spawn(2)[0], 1_800, 5, 8)[0], 4
+    yield "uniform-d8", np.random.default_rng(1).uniform(size=(1500, 8)), 4
+    yield "identical", np.zeros((20_000, 2)), 4
+    # The halo starts at id 1500, in the pilot, so the first reach is a
+    # halo point's; the halo rows whose m-th distance lies past it take a
+    # second round.
+    halo = np.random.default_rng(1).uniform(-30, 30, size=(49, 5))
+    yield "halo-d5", np.vstack([make_blobs(1500, 4, seed=1, dim=5)[0].coords, halo]), 4
+    yield "outlier-in-pilot-d8", np.vstack([np.full((1, 8), -3e12), blobs8]), 4
+    rng = np.random.default_rng(8)
+    yield "copies-d8", np.concatenate([
+        blobs8[:1200],
+        blobs8[11] + rng.normal(size=(300, 8)) * 0.02,
+        np.repeat(blobs8[5:6], 1100, axis=0),
+    ]), 4
+    yield "n=2", blobs[:2], 4
+    yield "m>=n", blobs[:40], 50
+
+
+@pytest.mark.parametrize("name, coords, m", [pytest.param(*case, id=case[0]) for case in cell_route_inputs()])
+def test_kth_nearest_cell_route_matches_row_blocks(monkeypatch, name, coords, m):
+    # With a share of 0 every row past the pilot takes the cell blocks; each
+    # distance has the bits of the row blocks. So do the cell blocks of
+    # every row from a first reach of 0, where most rows take a second round.
+    monkeypatch.setattr(canopy, "_GRID_SHARE", 0.0)
+    rounds = cell_rounds(monkeypatch)
+    got = canopy.sample_kth_distances(coords, m)
+    sample = np.arange(0, len(coords), math.ceil(len(coords) / 1000))
+    want = kth_distances(coords[None], m, sample)[0]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
+    assert bool(rounds) == (len(sample) > canopy._PILOT), name
+    if name == "halo-d5":
+        assert len(rounds) == 2 and rounds[1][0] < rounds[0][0] and rounds[1][1] < math.inf, rounds
+    if len(coords) <= 2000:
+        side = canopy.pilot_grid(coords, m, sample)[2].side
+        got = Grid(coords, side).kth_others(np.arange(len(coords)), m, 0.0)
+        want = kth_distances(coords[None], m)[0]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
+
+
 def measured_entries(monkeypatch) -> list[int]:
     """The distance entries measured from here on, one count per call: the
-    blocks of ``core.squared_distances``, which ``kth_distances`` measures
-    with whichever module calls it, and the grid's candidate pairs."""
+    blocks of ``squared_distances``, both those of ``kth_distances``
+    (whichever module calls it) and the grid's cell blocks, and the grid's
+    candidate pairs."""
     entries = []
     blocks, paired = core.squared_distances, grid.paired_squared_distances
 
@@ -199,6 +258,7 @@ def measured_entries(monkeypatch) -> list[int]:
         return paired(a, ia, b, ib)
 
     monkeypatch.setattr(core, "squared_distances", blocks_spy)
+    monkeypatch.setattr(grid, "squared_distances", blocks_spy)
     monkeypatch.setattr(grid, "paired_squared_distances", paired_spy)
     return entries
 
@@ -211,6 +271,17 @@ def test_thresholds_measure_far_fewer_entries_than_sample_times_n(monkeypatch):
     entries = measured_entries(monkeypatch)
     estimate_thresholds(data, 4)
     assert sum(entries) <= 6_500_000  # twice the 3,221,005 measured, 3.2M of them the pilot's
+
+
+def test_thresholds_at_d8_measure_far_fewer_entries_than_sample_times_n(monkeypatch):
+    # At d = 8 the grid's boxes hold too much for its queries, and the cell
+    # blocks measure each cell's rows against the points of its box: the
+    # pilot's 32 * n, and far fewer than the 9.68M of the rest of the
+    # sample against every point.
+    data = make_blobs(10_000, 5, seed=1, dim=8)[0]
+    entries = measured_entries(monkeypatch)
+    estimate_thresholds(data, 4)
+    assert sum(entries) <= 3_000_000  # 2,249,193 measured, 320,000 of them the pilot's
 
 
 def test_epsilon_measures_far_fewer_entries_than_n_squared(monkeypatch):

@@ -11,9 +11,12 @@ The inputs are the benchmark's (seeds 1-10 of ``blobs_w2``,
 ``bench/run.py`` makes them) and those of acceptance criteria 4, 5, 6 and 8.
 ``--adversarial`` adds blobs rounded to a 0.5 grid, the same blobs with
 their ids ordered along x, identical points in 2-D and 8-D, the d = 8
-copies input of ``test_batched_map_matches_map_step_per_region``, and 2,000
+copies input of ``test_batched_map_matches_map_step_per_region``, 2,000
 blob points after one point at (-3e12, 0), which lies in the thresholds'
-sample; at some versions of the package these take tens of seconds.
+sample, 1,500 uniform points in 8-D, and 5-D blobs with a sparse halo whose
+rows take the cell blocks' second round (the input of
+``test_kth_nearest_cell_route_matches_row_blocks``); at some versions of the
+package some of these take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, ``estimate_epsilon`` over every row at
@@ -122,6 +125,9 @@ def adversarial_inputs():
     ])
     yield "adversarial/copies_d8", copies, 4
     yield "adversarial/far_outlier", np.vstack([[(-3e12, 0.0)], make_blobs(2_000, 5, seed=1)[0].coords]), 4
+    yield "adversarial/uniform_d8", np.random.default_rng(1).uniform(size=(1500, 8)), 4
+    halo = np.random.default_rng(1).uniform(-30, 30, size=(49, 5))
+    yield "adversarial/blobs_d5_halo", np.vstack([make_blobs(1500, 4, seed=1, dim=5)[0].coords, halo]), 4
 
 
 def line(name: str, coords, m: int, naive: bool) -> dict:
