@@ -4,17 +4,18 @@ workload and metric, so that a change can be compared with its parent.
 Usage, from the repository root:
 
     python3 tools/pairs.py PARENT CHANGE --seeds 2201-2210
-    python3 tools/pairs.py PARENT CHANGE --seeds 1-1 --trace 1 --out runs.json
+    python3 tools/pairs.py PARENT CHANGE --seeds 1 --trace 1 --out runs.json
 
 PARENT and CHANGE are checkouts (directories holding ``bench/run.py``). For
 each workload of CHANGE's ``BENCHMARK.json`` (or those of ``--workloads``)
-and each seed, ``bench/run.py`` runs once in each checkout, one process at a
-time: the parent first on odd seeds, the change first on even ones. Then
-each metric prints the median [quartiles] of each side and "lower in k of
-n", the pairs in which the change read lower than the parent. ``--out``
-writes every run as a JSON list of {"side", "workload", "seed", "trace",
-"result"} objects, where "result" is the last line that ``bench/run.py``
-printed (null when the run failed).
+and each seed, ``bench/run.py`` runs once in each checkout for the
+``run_seconds`` of that file (or ``--seconds``), one process at a time: the
+parent first on odd seeds, the change first on even ones. Then each metric
+prints the median [quartiles] of each side and "lower in k of n", the pairs
+in which the change read lower than the parent. ``--out`` writes every run
+as a JSON list of {"side", "workload", "seed", "trace", "result"} objects,
+where "result" is the last line that ``bench/run.py`` printed (null when the
+run failed).
 """
 
 from __future__ import annotations
@@ -75,25 +76,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--seeds", required=True, help="first-last, inclusive, e.g. 2201-2210")
+    ap.add_argument("--seeds", required=True, help="first-last, inclusive, e.g. 2201-2210, or one seed")
     ap.add_argument("--workloads", help="comma-separated; default: those of CHANGE/BENCHMARK.json")
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, help="default: run_seconds of CHANGE/BENCHMARK.json")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, help="write every run here as JSON")
     args = ap.parse_args(argv)
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
-    if args.workloads:
-        workloads = args.workloads.split(",")
-    else:
-        spec = json.loads((args.change / "BENCHMARK.json").read_text())
-        workloads = [w["name"] for w in spec["workloads"]]
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    seconds = args.seconds or spec["run_seconds"]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = []
     for workload in workloads:
         for seed in seeds:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                result = bench(checkouts[side], workload, seed, args.seconds, args.trace)
+                result = bench(checkouts[side], workload, seed, seconds, args.trace)
                 runs.append({"side": side, "workload": workload, "seed": seed, "trace": args.trace, "result": result})
                 if args.out:
                     args.out.write_text(json.dumps(runs, indent=1) + "\n")
