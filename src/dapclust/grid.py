@@ -262,13 +262,7 @@ class Grid:
         ends = np.append(first, len(rows)).tolist()
         _, lo, hi = self._box(coords[rows], reach)
         query, start, stop = self._slices(np.minimum.reduceat(lo, first), np.maximum.reduceat(hi, first))
-        length = stop - start
-        offset = np.cumsum(length) - length
-        offset -= offset[np.searchsorted(query, query)]  # each slice's place in its box
-        size = np.bincount(query, weights=length, minlength=len(first)).astype(np.intp)
-        # Each row lies in its own cell's box, in the slice holding its place in order.
-        s = np.searchsorted(query * n + start, group * n + at, side="right") - 1
-        own = offset[s] + at - start[s]
+        size = np.bincount(query, weights=stop - start, minlength=len(first)).astype(np.intp)
         full = size[group] == n
         out = np.full(len(rows), np.inf)
         out[full] = kth_distances(cols.T[None], m, rows[full])[0]
@@ -281,6 +275,6 @@ class Grid:
             for r0 in range(ends[g], ends[g + 1], slab):
                 r1 = min(r0 + slab, ends[g + 1])
                 sq = squared_distances(coords[rows[r0:r1]], pts)
-                sq[np.arange(r1 - r0), own[r0:r1]] = np.inf  # the point itself
-                out[r0:r1] = np.sqrt(np.partition(sq, kth, axis=1)[:, kth])
+                # Each row's own entry, in its cell's box, is its least: 0.
+                out[r0:r1] = np.sqrt(np.partition(sq, kth + 1, axis=1)[:, kth + 1])
         return out, full

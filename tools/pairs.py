@@ -7,10 +7,11 @@ Usage, from the repository root:
     python3 tools/pairs.py PARENT CHANGE --seeds 1 --trace 1 --out runs.json
 
 PARENT and CHANGE are checkouts (directories holding ``bench/run.py``). For
-each workload of CHANGE's ``BENCHMARK.json`` (or those of ``--workloads``)
-and each seed, ``bench/run.py`` runs once in each checkout for the
-``run_seconds`` of that file (or ``--seconds``), one process at a time: the
-parent first on odd seeds, the change first on even ones. Then each metric
+each workload of CHANGE's ``BENCHMARK.json`` and each seed, ``bench/run.py``
+runs once in each checkout for the ``run_seconds`` of that file, one process
+at a time: the parent first on odd seeds, the change first on even ones.
+Each workload then prints, per side, the seeds whose run failed, the runs
+whose checks failed and the total of failed operations, and each metric
 prints the median [quartiles] of each side and "lower in k of n", the pairs
 in which the change read lower than the parent. ``--out`` writes every run
 as a JSON list of {"side", "workload", "seed", "trace", "result"} objects,
@@ -51,17 +52,24 @@ def spread(values) -> str:
 
 
 def summary(runs) -> list[str]:
-    """One line per workload and metric of the paired runs."""
+    """One line per workload and side, then one per metric of the pairs."""
     pairs = {}
     for run in runs:
-        if run["result"] is not None:
-            key = (run["workload"], run["seed"], run["trace"])
-            pairs.setdefault(key, {})[run["side"]] = run["result"]
+        key = (run["workload"], run["seed"], run["trace"])
+        pairs.setdefault(key, {})[run["side"]] = run["result"]
     lines = []
     for workload in dict.fromkeys(key[0] for key in pairs):
-        both = [p for key, p in pairs.items() if key[0] == workload and len(p) == 2]
-        failed = sum(not p[side]["correct"] for p in both for side in SIDES)
-        lines.append(f"{workload}: {len(both)} pairs, {failed} runs with failed checks")
+        mine = {key: p for key, p in pairs.items() if key[0] == workload}
+        both = [p for p in mine.values() if len(p) == 2 and None not in p.values()]
+        lines.append(f"{workload}: {len(both)} pairs")
+        for side in SIDES:
+            results = [p[side] for p in mine.values() if p.get(side) is not None]
+            none = [key[1] for key, p in mine.items() if side in p and p[side] is None]
+            lines.append(
+                f"  {side}: runs failed on seeds {none or 'none'}, "
+                f"{sum(not r['correct'] for r in results)} runs with failed checks, "
+                f"{sum(r['failed'] for r in results)} of {sum(r['attempted'] for r in results)} operations failed"
+            )
         for metric in both[0]["parent"]["metrics"] if both else ():
             values = {side: [p[side]["metrics"][metric]["value"] for p in both] for side in SIDES}
             lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
@@ -77,22 +85,19 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--seeds", required=True, help="first-last, inclusive, e.g. 2201-2210, or one seed")
-    ap.add_argument("--workloads", help="comma-separated; default: those of CHANGE/BENCHMARK.json")
-    ap.add_argument("--seconds", type=float, help="default: run_seconds of CHANGE/BENCHMARK.json")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", type=Path, help="write every run here as JSON")
     args = ap.parse_args(argv)
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = []
     for workload in workloads:
         for seed in seeds:
             for side in SIDES if seed % 2 else SIDES[::-1]:
-                result = bench(checkouts[side], workload, seed, seconds, args.trace)
+                result = bench(checkouts[side], workload, seed, spec["run_seconds"], args.trace)
                 runs.append({"side": side, "workload": workload, "seed": seed, "trace": args.trace, "result": result})
                 if args.out:
                     args.out.write_text(json.dumps(runs, indent=1) + "\n")
