@@ -6,7 +6,8 @@ partition's rows. ``estimate_epsilon`` measures them with
 the pipeline's stacks of canopies with ``core.kth_distances``; both give the
 same bits. The merge runs as array passes over stacks of padded
 partitions, in distance blocks of at most ``_BLOCK_ENTRIES`` entries, at
-every partition size: groups of whole partitions, or row slabs of a large one. One sparse
+every partition size: groups of whole partitions, or row slabs of a large
+one, whose neighbourhoods come from ``core.within_distance``. One sparse
 label propagation, ``_lowest_linked``, gives the merge's components, and
 the pipeline's reduce uses it too.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canopy import kth_nearest
-from .core import _BLOCK_ENTRIES, NOISE, Dataset, squared_distances
+from .core import _BLOCK_ENTRIES, NOISE, Dataset, within_distance
 
 
 @dataclass(frozen=True)
@@ -103,22 +104,28 @@ def stacked_merge(coords: np.ndarray, ids: np.ndarray, epsilon: np.ndarray, m: i
     entries: groups of whole partitions when k * k fits, else row slabs of
     one partition. Each slab's distance block, with the padding masked out
     of its rows and its columns, gives its rows' neighbourhoods and so their
-    core flags. Each group's core edges then fold into its label array with
-    ``_lowest_linked``, one slab after another, so memory stays at one slab
-    plus O(b * k). A partition cut into row slabs is measured twice: once to
-    count its neighbourhoods, which decides every core flag, and once for
-    its edges, which need the core flags at both ends.
+    core flags. ``core.within_distance`` decides each entry by the rule:
+    from ``core._GRAM_DIM`` coordinates on, for large blocks, through the
+    filter, where a matrix product decides every entry whose approximate
+    squared distance lies farther from epsilon^2 than its error bound plus
+    a few ulps, and the rule re-measures the rest. The padding slots repeat
+    their partition's first point, which keeps that bound as tight as the
+    partition allows. Each group's core edges then fold into its label
+    array with ``_lowest_linked``, one slab after another, so memory stays
+    at one slab plus O(b * k). A partition cut into row slabs is measured
+    twice: once to count its neighbourhoods, which decides every core flag,
+    and once for its edges, which need the core flags at both ends.
     """
     b, k = ids.shape
     valid = ids >= 0
-    pts = coords[np.where(valid, ids, 0)]
+    pts = coords[np.where(valid, ids, ids[:, :1])]  # padding: the first point
     parts = max(1, _BLOCK_ENTRIES // (k * k))
     rows = min(k, max(1, _BLOCK_ENTRIES // k))
 
     def ball(ps, r):
         rs = slice(r, r + rows)
-        # Bit-identical to the distances a range query compares with epsilon.
-        hit = np.sqrt(squared_distances(pts[ps, rs], pts[ps])) <= epsilon[ps, None, None]
+        # The rule's answer, as a range query's comparison with epsilon.
+        hit = within_distance(pts[ps, rs], pts[ps], epsilon[ps])
         hit &= valid[ps, rs, None]
         hit &= valid[ps, None, :]
         return hit

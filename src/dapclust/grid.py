@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, kth_distances, pair_order, paired_squared_distances, squared_distances
+from .core import _BLOCK_ENTRIES, kth_distances, kth_squared_distances, pair_order, paired_squared_distances
 
 
 class Grid:
@@ -250,7 +250,7 @@ class Grid:
 
         A cell's box is the union of its rows' boxes of their ``reach`` (see
         ``boxes``). Its rows are measured against the box's points with
-        ``squared_distances``, in slabs of at most ``_BLOCK_ENTRIES``
+        ``kth_squared_distances``, in slabs of at most ``_BLOCK_ENTRIES``
         entries. The rows of cells whose box holds every point are measured
         together, as one row block of ``kth_distances``.
         """
@@ -274,7 +274,6 @@ class Grid:
             slab = max(1, _BLOCK_ENTRIES // len(box))
             for r0 in range(ends[g], ends[g + 1], slab):
                 r1 = min(r0 + slab, ends[g + 1])
-                sq = squared_distances(coords[rows[r0:r1]], pts)
                 # Each row's own entry, in its cell's box, is its least: 0.
-                out[r0:r1] = np.sqrt(np.partition(sq, kth + 1, axis=1)[:, kth + 1])
+                out[r0:r1] = np.sqrt(kth_squared_distances(coords[None, rows[r0:r1]], pts[None], kth + 1)[0])
         return out, full

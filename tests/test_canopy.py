@@ -242,23 +242,28 @@ def test_kth_nearest_cell_route_matches_row_blocks(monkeypatch, name, coords, m)
 
 def measured_entries(monkeypatch) -> list[int]:
     """The distance entries measured from here on, one count per call: the
-    blocks of ``squared_distances``, both those of ``kth_distances``
-    (whichever module calls it) and the grid's cell blocks, and the grid's
+    blocks of ``kth_distances`` (whichever module calls it) and of the
+    grid's cell blocks, whether ``squared_distances`` measures them or the
+    filter approximates them from ``_gram_factors``, and the grid's
     candidate pairs."""
     entries = []
-    blocks, paired = core.squared_distances, grid.paired_squared_distances
+    blocks, gram, paired = core.squared_distances, core._gram_factors, grid.paired_squared_distances
 
     def blocks_spy(a, b):
         out = blocks(a, b)
         entries.append(out.size)
         return out
 
+    def gram_spy(a, b):
+        entries.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return gram(a, b)
+
     def paired_spy(a, ia, b, ib):
         entries.append(len(ia))
         return paired(a, ia, b, ib)
 
     monkeypatch.setattr(core, "squared_distances", blocks_spy)
-    monkeypatch.setattr(grid, "squared_distances", blocks_spy)
+    monkeypatch.setattr(core, "_gram_factors", gram_spy)
     monkeypatch.setattr(grid, "paired_squared_distances", paired_spy)
     return entries
 

@@ -13,10 +13,12 @@ The inputs are the benchmark's (seeds 1-10 of ``blobs_w2``,
 their ids ordered along x, identical points in 2-D and 8-D, the d = 8
 copies input of ``test_batched_map_matches_map_step_per_region``, 2,000
 blob points after one point at (-3e12, 0), which lies in the thresholds'
-sample, 1,500 uniform points in 8-D, and 5-D blobs with a sparse halo whose
+sample, 1,500 uniform points in 8-D, 5-D blobs with a sparse halo whose
 rows take the cell blocks' second round (the input of
-``test_kth_nearest_cell_route_matches_row_blocks``); at some versions of the
-package some of these take tens of seconds.
+``test_kth_nearest_cell_route_matches_row_blocks``), 8-D blobs of spread
+1e-3 offset by 1e8, and 1,200 normal points in 16-D, which the distance
+filter of ``core`` measures; at some versions of the package some of these
+take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, ``estimate_epsilon`` over every row at
@@ -128,6 +130,9 @@ def adversarial_inputs():
     yield "adversarial/uniform_d8", np.random.default_rng(1).uniform(size=(1500, 8)), 4
     halo = np.random.default_rng(1).uniform(-30, 30, size=(49, 5))
     yield "adversarial/blobs_d5_halo", np.vstack([make_blobs(1500, 4, seed=1, dim=5)[0].coords, halo]), 4
+    # The distance filter's inputs: centred far from the origin, and at d = 16.
+    yield "adversarial/far_blobs_d8", make_blobs(1500, 4, seed=2, dim=8)[0].coords * 1e-3 + 1e8, 4
+    yield "adversarial/normal_d16", np.random.default_rng(16).normal(size=(1200, 16)), 4
 
 
 def line(name: str, coords, m: int, naive: bool) -> dict:
