@@ -8,7 +8,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import _BLOCK_ENTRIES, Dataset, Partitions, kth_distances
+from .core import _BLOCK_ENTRIES, Dataset, Partitions, copy_ranks, kth_distances
 from .grid import Grid
 
 # The m-th-neighbour routine (see kth_nearest): the rows of its pilot, and
@@ -75,32 +75,46 @@ def kth_nearest(coords: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     are fewer; 0 when n <= 1. The bits of ``kth_distances(coords[None], m,
     rows)[0]``, by either of two grid routes.
 
-    First the pilot (see ``pilot_grid``) is measured against every row by
-    ``kth_distances``, and sets the grid's cell side. The rest of the rows
-    then go to ``Grid.nearest_others``, unless the boxes of that side around
-    them hold more than ``_GRID_SHARE`` of their row-block entries (rest
-    times n). Then ``Grid.kth_others`` measures the rest in cell blocks,
-    each cell's rows against the points of its box, which first reaches the
-    pilot's largest distance; the few rows whose m-th distance lies past it
-    take one more round. The grid keys only two coordinates, so boxes of
-    the cell side hold about 0.2% of the row-block entries on 2-D blobs,
-    1% to 4% on 2-D blobs with hotspots, 3.4% at d = 4 and 17% at d = 8;
-    where most points share one cell they hold all of them, and the cell
-    blocks are row blocks of ``kth_distances``.
+    Each location is measured once. Rows with bit-equal coordinates have
+    the same multiset of distances to the other rows, and so the same m-th
+    distance: one ``copy_ranks`` sort of ``coords[rows]``, which costs the
+    size of ``rows``, not n, finds the first row of each location in the
+    order of ``rows``, and only these are measured; every other row takes
+    its first copy's distance. The thresholds' sample of an input with
+    heavy duplication, or a ``rows`` that lists an id twice, so measures
+    each location once.
+
+    First the pilot of the distinct rows (see ``pilot_grid``) is measured
+    against every row by ``kth_distances``, and sets the grid's cell side.
+    The rest of them then go to ``Grid.nearest_others``, unless the boxes of
+    that side around them hold more than ``_GRID_SHARE`` of their row-block
+    entries (rest times n). Then ``Grid.kth_others`` measures the rest in
+    cell blocks, each cell's rows against the points of its box, which first
+    reaches the pilot's largest distance; the few rows whose m-th distance
+    lies past it take one more round. The grid keys only two coordinates, so
+    boxes of the cell side hold about 0.2% of the row-block entries on 2-D
+    blobs, 1% to 4% on 2-D blobs with hotspots, 3.4% at d = 4 and 17% at
+    d = 8; where most points share one cell they hold all of them, and the
+    cell blocks are row blocks of ``kth_distances``. Both routes are exact
+    at any cell side.
     """
-    kth = np.zeros(len(rows))
     if len(coords) <= 1 or not len(rows):
-        return kth
+        return np.zeros(len(rows))
+    copy_rank, first = copy_ranks(coords[rows])
+    distinct = copy_rank == 0
+    rows = rows[distinct]
+    kth = np.zeros(len(rows))
     pilot, kth[pilot], grid = pilot_grid(coords, m, rows)  # kth[pilot] takes the new mask
     rest = rows[~pilot]
-    if not len(rest):
-        return kth
-    _, start, stop = grid.boxes(coords[rest], grid.side)
-    if np.sum(stop - start) <= _GRID_SHARE * len(rest) * len(coords):
-        kth[~pilot] = grid.nearest_others(rest, m)[1][:, -1]
-    else:
-        kth[~pilot] = grid.kth_others(rest, m, kth[pilot].max())
-    return kth
+    if len(rest):
+        _, start, stop = grid.boxes(coords[rest], grid.side)
+        if np.sum(stop - start) <= _GRID_SHARE * len(rest) * len(coords):
+            kth[~pilot] = grid.nearest_others(rest, m)[1][:, -1]
+        else:
+            kth[~pilot] = grid.kth_others(rest, m, kth[pilot].max())
+    out = np.empty(len(first))
+    out[distinct] = kth
+    return out[first]
 
 
 def sample_kth_distances(coords: np.ndarray, m: int) -> np.ndarray:

@@ -194,6 +194,7 @@ def _report_line(name: str, data: Dataset, args, result: ClusterResult) -> str:
         f"uf_hops={s.uf_hops}",
         f"repeat_points={s.repeat_points}",
         f"region_pairs={s.region_pairs}",
+        f"distinct_points={s.distinct_points}",
     ]
     if args.epsilon is not None:
         parts.insert(4, f"epsilon={args.epsilon}")

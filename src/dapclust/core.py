@@ -611,7 +611,10 @@ class RunStats:
 
     ``region_pairs`` counts the (point, region) pairs of points inside a
     region's sphere before the per-point cap: the pairs that the regions'
-    range pass finds and the cap sorts.
+    range pass finds and the cap sorts, counted for every point.
+
+    ``distinct_points`` counts the locations (distinct coordinate rows) that
+    the regions' range pass measured: one per point, less the copies.
     """
 
     region_count: int = 0
@@ -634,6 +637,7 @@ class RunStats:
     uf_hops: int = 0
     repeat_points: int = 0
     region_pairs: int = 0
+    distinct_points: int = 0
 
 
 @dataclass

@@ -11,7 +11,10 @@
    fewer than m points skips the merge. Exact copies of a point cost at
    most m + 1 rows: the scan radii, spheres and merges leave out each
    location's copies past its (m + 1)-th by id, which then take the first
-   copy's results (the copies rule, see ``_surplus``).
+   copy's results (the copies rule, see ``_surplus``). The thresholds'
+   sample (see ``canopy.kth_nearest``) and the regions' range pass and cap
+   measure each location once, and every copy takes its first copy's
+   m-th distance or kept regions.
 3. Reduce: every clustered (region, point) membership links the point to
    its local label, and one label propagation over these links gives the
    global partition, whatever the order of the regions.
@@ -111,7 +114,10 @@ class Regions(Partitions):
 
 def _surplus(parts: Partitions, copy_rank, first_copy, m):
     """The copies rule, which the scan radii, the spheres and the merge all
-    follow: in every partition of ``parts``, a point's copies past the
+    follow (the thresholds' sample and the regions' range pass and cap go
+    further, and measure one copy of each location; see
+    ``canopy.kth_nearest`` and ``build_regions``): in every partition of
+    ``parts``, a point's copies past the
     (m + 1)-th by id, those of ``copy_rank`` above m (the surplus), are
     left out of the distance blocks, and each takes the results of its
     first copy in the partition.
@@ -244,12 +250,18 @@ def build_regions(
     to the map. ``ValueError`` is raised when a canopy holds some of a
     point's copies but not all, which no sweep gives. A ``Grid`` with cells
     about a region radius wide (see ``_region_side``) finds the members of every
-    region, with their squared distances, in one chunked pass. The cap puts
-    these (point, region) pairs in (point, squared distance, region id) order
-    with ``pair_order``, and the surviving pairs go to their regions, each in
-    ascending point id, by one sort of the keys region * n + point. The
-    result is a ``Regions`` sequence holding those arrays; ``Region`` objects
-    are built only when a caller indexes or iterates it.
+    region, with their squared distances, in one chunked pass over the
+    locations: the first copy of each point (``copy_rank`` 0). The cap puts
+    these (location, region) pairs in (location, squared distance, region
+    id) order with ``pair_order``. Copies have bit-equal squared distances
+    to every centre, so every copy of a location lies in its spheres and
+    keeps its regions; each point takes its location's kept pairs, which go
+    to their regions, each in ascending point id, by one sort of the keys
+    region * n + point. Without copies every point is its own location.
+    ``pairs`` still counts every point's pre-cap pairs: the sum over
+    locations of pairs times copies. The result is a ``Regions`` sequence
+    holding those arrays; ``Region`` objects are built only when a caller
+    indexes or iterates it.
 
     ``tree`` is accepted for older callers and not used.
     """
@@ -262,22 +274,33 @@ def build_regions(
         return Regions(np.zeros(1, np.intp), none.astype(np.intp), coords[:0], none, none, cfg.m, *copies)
     eps, centers, radius = _canopy_estimates(coords, pack_canopies(canopies), cfg.m, cfg.c, *copies)
     radii = radius + eps
-    rids, pids, sq = Grid(coords, _region_side(coords, radii)).within(centers, radii)
-    # Each point's pairs, nearest first; it keeps the first cfg.cap of them.
-    # The point ids ascend in this order and need not be kept. Each unsorted
-    # array goes once the order is applied, so the cap's own arrays do not
-    # come on top of them.
-    pairs = len(pids)
-    held = np.bincount(pids, minlength=n)
-    order = pair_order(pids, sq, rids, z)
-    del pids, sq
+    # The range pass and the cap run over locations, the first copy of each
+    # point by id; ``at`` holds location numbers, ``locs`` their ids.
+    copy_rank, first_copy = copies
+    locs = np.flatnonzero(copy_rank == 0)
+    pts = coords[locs]
+    rids, at, sq = Grid(pts, _region_side(pts, radii)).within(centers, radii)
+    # Each location's pairs, nearest first; it keeps the first cfg.cap of
+    # them. The locations ascend in this order and need not be kept. Each
+    # unsorted array goes once the order is applied, so the cap's own arrays
+    # do not come on top of them.
+    held = np.bincount(at, minlength=len(locs))
+    pairs = int(held @ np.bincount(first_copy, minlength=n)[locs])  # over every copy
+    order = pair_order(at, sq, rids, z)
+    del at, sq
     rids = rids[order]
     del order
     rank = np.arange(len(rids))
     rank -= np.repeat(np.cumsum(held) - held, held)
     rids = rids[rank < cfg.cap]
     del rank
-    pids = np.repeat(np.arange(n), np.minimum(held, cfg.cap))
+    # Every point takes its location's run of kept regions.
+    kept = np.minimum(held, cfg.cap)
+    loc = (np.cumsum(copy_rank == 0) - 1)[first_copy]  # each point's location number
+    count = kept[loc]
+    pids = np.repeat(np.arange(n), count)
+    shift = (np.cumsum(kept) - kept)[loc] - (np.cumsum(count) - count)
+    rids = rids[np.repeat(shift, count) + np.arange(len(pids))]
 
     ptr = np.zeros(z + 1, dtype=np.intp)
     np.cumsum(np.bincount(rids, minlength=z), out=ptr[1:])
@@ -412,6 +435,7 @@ def cluster(data: Dataset, cfg: PipelineConfig) -> ClusterResult:
     _summarise_regions(st, *per_region)
     st.repeat_points = int(np.count_nonzero(regions.copy_rank > cfg.m))
     st.region_pairs = regions.pairs
+    st.distinct_points = int(np.count_nonzero(regions.copy_rank == 0))
     end = time.perf_counter()
     st.t_thresholds = 0.0 if cfg.canopy else thresholds_end - start
     st.t_canopy = canopy_end - start

@@ -182,15 +182,81 @@ def test_estimate_epsilon_routes_agree(monkeypatch, name, coords, m, share):
     assert bool(calls) == (share > 0 and len(coords) > canopy._PILOT), name
 
 
+def kth_copies_inputs():
+    """(name, coords, rows) cases of ``kth_nearest`` on rows that repeat:
+    the thresholds' sample of inputs with copies, and a ``rows`` that lists
+    one id twice."""
+    hotspots = bench_inputs.mixed_hotspots(np.random.SeedSequence(1).spawn(2)[0], 4_000, 250)[0]
+    rounded = np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2
+    base = make_blobs(1200, 3, seed=8, dim=8)[0].coords
+    rng = np.random.default_rng(8)
+    copies8 = np.concatenate([
+        base,
+        base[11] + rng.normal(size=(300, 8)) * 0.02,
+        base[7] + 50.0 + rng.normal(size=(1030, 8)) * 0.01,
+        np.repeat(base[5:6], 1100, axis=0),
+    ])
+    for name, coords in (
+        ("mixed-hotspots-1", hotspots),
+        ("identical", np.zeros((20_000, 2))),
+        ("rounded", rounded),
+        ("copies-d8", copies8),
+    ):
+        yield name, coords, np.arange(0, len(coords), math.ceil(len(coords) / 1000))
+    yield "id-twice", make_blobs(2000, 5, seed=1)[0].coords, np.append(np.arange(0, 2000, 7), 700)
+
+
+def measured_rows(monkeypatch) -> list[int]:
+    """The row ids that ``kth_nearest`` measures from here on: its pilot's,
+    and those it passes to ``Grid.nearest_others`` or ``Grid.kth_others``."""
+    rows = []
+    pilot, nearest_others, kth_others = canopy.kth_distances, Grid.nearest_others, Grid.kth_others
+
+    def pilot_spy(pts, m, at=None):
+        rows.extend(np.asarray(at).tolist())
+        return pilot(pts, m, at)
+
+    def nearest_spy(self, at, m):
+        rows.extend(at.tolist())
+        return nearest_others(self, at, m)
+
+    def kth_spy(self, at, m, reach):
+        rows.extend(at.tolist())
+        return kth_others(self, at, m, reach)
+
+    monkeypatch.setattr(canopy, "kth_distances", pilot_spy)
+    monkeypatch.setattr(Grid, "nearest_others", nearest_spy)
+    monkeypatch.setattr(Grid, "kth_others", kth_spy)
+    return rows
+
+
+@pytest.mark.parametrize("name, coords, rows", [pytest.param(*case, id=case[0]) for case in kth_copies_inputs()])
+def test_kth_nearest_measures_each_location_once(monkeypatch, name, coords, rows):
+    # Rows with bit-equal coordinates share their m-th distance: only the
+    # first row of each location in ``rows`` is measured, once, and every
+    # row still gets the bits of the row blocks.
+    measured = measured_rows(monkeypatch)
+    got = canopy.kth_nearest(coords, 4, rows)
+    want = kth_distances(coords[None], 4, rows)[0]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
+    # Locations by their bytes, so 0.0 and -0.0 are two.
+    firsts = {}
+    for i, row in zip(rows.tolist(), coords[rows]):
+        firsts.setdefault(row.tobytes(), i)
+    assert len(firsts) < len(rows), name
+    assert sorted(measured) == sorted(firsts.values()), name
+
+
 def cell_rounds(monkeypatch) -> list[tuple[int, float]]:
-    """The rounds of ``Grid.kth_others`` from here on: each one's row count
-    and largest reach."""
+    """The rounds of ``Grid.kth_others`` from here on: each one's row count,
+    largest reach, and count of rows whose cell's box holds every point."""
     rounds = []
     cell_blocks = Grid._cell_blocks
 
     def spy(self, rows, m, reach, *args):
-        rounds.append((len(rows), float(np.max(reach))))
-        return cell_blocks(self, rows, m, reach, *args)
+        out = cell_blocks(self, rows, m, reach, *args)
+        rounds.append((len(rows), float(np.max(reach)), int(np.count_nonzero(out[1]))))
+        return out
 
     monkeypatch.setattr(Grid, "_cell_blocks", spy)
     return rounds
@@ -230,9 +296,20 @@ def test_kth_nearest_cell_route_matches_row_blocks(monkeypatch, name, coords, m)
     sample = np.arange(0, len(coords), math.ceil(len(coords) / 1000))
     want = kth_distances(coords[None], m, sample)[0]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
-    assert bool(rounds) == (len(sample) > canopy._PILOT), name
+    # Only the first row of each location is measured.
+    distinct = len({row.tobytes() for row in coords[sample]})
+    assert bool(rounds) == (distinct > canopy._PILOT), name
     if name == "halo-d5":
         assert len(rounds) == 2 and rounds[1][0] < rounds[0][0] and rounds[1][1] < math.inf, rounds
+    if name == "identical":
+        # One location, which the pilot measures. The cell blocks of every
+        # sample row, whose one box holds every point, still give the bits
+        # of the row blocks.
+        rounds.clear()
+        side = canopy.pilot_grid(coords, m, sample)[2].side
+        got = Grid(coords, side).kth_others(sample, m, 0.0)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], name
+        assert rounds == [(len(sample), 0.0, len(sample))], rounds
     if len(coords) <= 2000:
         side = canopy.pilot_grid(coords, m, sample)[2].side
         got = Grid(coords, side).kth_others(np.arange(len(coords)), m, 0.0)

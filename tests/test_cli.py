@@ -291,6 +291,22 @@ def test_report_counts_repeat_points(tmp_path):
     assert dict(kv.split("=") for kv in report.read_text().split())["repeat_points"] == "0"
 
 
+def test_report_counts_distinct_points(tmp_path):
+    # The point (1, 0) eight times among seven locations: the regions' range
+    # pass measures each location once. Without the copies, every point is
+    # its own location.
+    data = tmp_path / "copies.csv"
+    data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 1, 1, 1, 1, 1, 1, 1, 100, 101, 102)))
+    report = tmp_path / "report.txt"
+    args = ["--algorithm", "dapc", "--m", "2", "--input", str(data)]
+    assert run([*args, "--output", str(tmp_path / "labels.csv"), "--report", str(report)]) == 0
+    rep = dict(kv.split("=") for kv in report.read_text().split())
+    assert (rep["n"], rep["distinct_points"]) == ("14", "7")
+    data.write_text("".join(f"{x},0\n" for x in (0, 1, 2, 3, 100, 101, 102)))
+    assert run([*args, "--output", str(tmp_path / "labels.csv"), "--report", str(report)]) == 0
+    assert dict(kv.split("=") for kv in report.read_text().split())["distinct_points"] == "7"
+
+
 def test_epsilon_grid_starts_at_smallest_positive_gap():
     # An exact repeat lies at distance 0 from its copy; the grid starts at
     # the smallest positive nearest-neighbour distance instead.

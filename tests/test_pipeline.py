@@ -315,8 +315,8 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
     direct = Grid.within
 
     def spy(self, centers, radii):
-        found.append((centers, direct(self, centers, radii)))
-        return found[-1][1]
+        found.append((self.coords, centers, direct(self, centers, radii)))
+        return found[-1][2]
 
     monkeypatch.setattr(Grid, "within", spy)
 
@@ -325,7 +325,15 @@ def test_cap_matches_set_walk_oracle(monkeypatch):
             canopies = canopy_cluster(data, estimate_thresholds(data, cfg.m))
         found.clear()
         got = build_regions(data, canopies, cfg)
-        [(centers, (rid, pid, _sq))] = found
+        [(rows, centers, (rid, loc, _sq))] = found
+        # The range pass measures each location once: its pairs go to every
+        # point with exactly those coordinates.
+        ids_at = {}
+        for p, row in enumerate(data.coords):
+            ids_at.setdefault(row.tobytes(), []).append(p)
+        at = [ids_at[rows[k].tobytes()] for k in loc.tolist()]
+        pid = np.array([p for ids in at for p in ids], dtype=np.intp)
+        rid = np.repeat(rid, [len(ids) for ids in at])
         regions = [
             SimpleNamespace(id=r, sphere=SimpleNamespace(center=tuple(c)), member_ids=set())
             for r, c in enumerate(centers.tolist())
@@ -694,6 +702,33 @@ def test_partitions_hold_every_copy_of_a_point_or_none():
             owner = np.repeat(np.arange(len(parts)), np.diff(parts.ptr))
             pairs, held = np.unique(owner * len(count) + loc[parts.members], return_counts=True)
             assert (held == count[pairs % len(count)]).all(), name
+
+
+@pytest.mark.parametrize("name", ["mixed_hotspots 1", "copies d = 8", "rounded blobs"])
+def test_copies_take_their_first_copys_regions(name):
+    # The range pass and the cap measure one copy of each location. Every
+    # point must still hold its first copy's regions, which are the cap's
+    # choice among all spheres that hold it, counted by brute force over
+    # every (point, sphere) pair; ``pairs`` counts those of every point.
+    m = 4
+    data = Dataset.from_coords(dict(_repeat_heavy_inputs())[name])
+    regions = build_regions(data, canopy_cluster(data, estimate_thresholds(data, m)), PipelineConfig(m=m))
+    held = [[] for _ in range(len(data))]
+    for r, p in zip(regions.owner.tolist(), regions.members.tolist()):
+        held[p].append(r)
+    first = {}
+    for p, row in enumerate(data.coords):
+        assert held[p] == held[first.setdefault(row.tobytes(), p)], (name, p)
+    assert len(first) < len(data), name
+    pairs = 0
+    for lo in range(0, len(data), 500):
+        sq = squared_distances(data.coords[lo : lo + 500], regions.centers)
+        inside = np.sqrt(sq) <= regions.radii
+        pairs += int(inside.sum())
+        for p, (row, hit) in enumerate(zip(sq, inside), lo):
+            rids = np.flatnonzero(hit)
+            assert held[p] == sorted(rids[np.lexsort((rids, row[rids]))][:m].tolist()), (name, p)
+    assert regions.pairs == pairs, name
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,10 @@ blob points after one point at (-3e12, 0), which lies in the thresholds'
 sample, 1,500 uniform points in 8-D, 5-D blobs with a sparse halo whose
 rows take the cell blocks' second round (the input of
 ``test_kth_nearest_cell_route_matches_row_blocks``), 8-D blobs of spread
-1e-3 offset by 1e8, and 1,200 normal points in 16-D, which the distance
-filter of ``core`` measures; at some versions of the package some of these
-take tens of seconds.
+1e-3 offset by 1e8, 1,200 normal points in 16-D, which the distance
+filter of ``core`` measures, and ``make_blobs(2000, 5, seed=1)`` tiled five
+times, whose copies lie 2,000 ids apart and fill the thresholds' sample; at
+some versions of the package some of these take tens of seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, ``estimate_epsilon`` over every row at
@@ -133,6 +134,8 @@ def adversarial_inputs():
     # The distance filter's inputs: centred far from the origin, and at d = 16.
     yield "adversarial/far_blobs_d8", make_blobs(1500, 4, seed=2, dim=8)[0].coords * 1e-3 + 1e8, 4
     yield "adversarial/normal_d16", np.random.default_rng(16).normal(size=(1200, 16)), 4
+    # Five copies of every point, 2,000 ids apart.
+    yield "adversarial/blobs_tiled_x5", np.tile(make_blobs(2_000, 5, seed=1)[0].coords, (5, 1)), 4
 
 
 def line(name: str, coords, m: int, naive: bool) -> dict:

@@ -14,9 +14,11 @@ Each workload then prints, per side, the seeds whose run failed, the runs
 whose checks failed and the total of failed operations, and each metric
 prints the median [quartiles] of each side and "lower in k of n", the pairs
 in which the change read lower than the parent. ``--out`` writes every run
-as a JSON list of {"side", "workload", "seed", "trace", "result"} objects,
-where "result" is the last line that ``bench/run.py`` printed (null when the
-run failed).
+as a JSON list of {"side", "commit", "workload", "seed", "trace", "result"}
+objects, where "result" is the last line that ``bench/run.py`` printed (null
+when the run failed), and "commit" is the side's ``git rev-parse --short
+HEAD``, with "+dirty" when that checkout had uncommitted changes at the
+start.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def commit(checkout: Path) -> str:
+    """The short commit of ``checkout``, with "+dirty" when it has
+    uncommitted changes."""
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
+
+    return git("rev-parse", "--short", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -93,12 +105,20 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
+    commits = {side: commit(path) for side, path in checkouts.items()}
     runs = []
     for workload in workloads:
         for seed in seeds:
             for side in SIDES if seed % 2 else SIDES[::-1]:
                 result = bench(checkouts[side], workload, seed, spec["run_seconds"], args.trace)
-                runs.append({"side": side, "workload": workload, "seed": seed, "trace": args.trace, "result": result})
+                runs.append({
+                    "side": side,
+                    "commit": commits[side],
+                    "workload": workload,
+                    "seed": seed,
+                    "trace": args.trace,
+                    "result": result,
+                })
                 if args.out:
                     args.out.write_text(json.dumps(runs, indent=1) + "\n")
     print("\n".join(summary(runs)))
