@@ -19,6 +19,12 @@ NOISE = -1
 # pieces of at most this many entries (one row at the least), which keeps
 # their temporaries small: the partition batches and row slabs of
 # ``kth_distances`` and of the density merge, and the chunks of grid pairs.
+# At this size two temporaries alive at once cost page faults: on a 2-core
+# VM (Python 3.11, numpy 2.4), copying a 2**16-entry float64 array took
+# 15 us, but two copies alive at once took 347 us and 224 minor faults per
+# pair (three 388 us), while two 2**15-entry copies took 16 us with none.
+# Halving the blocks avoids that, but loses where the filter needs large
+# blocks to pay for its fixed cost.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -217,10 +223,13 @@ def _remeasure(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.cumsum(diff, axis=1)[:, -1]
 
 
-def kth_squared_distances(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
+def kth_squared_distances(a: np.ndarray, b: np.ndarray, j: int, width=None) -> np.ndarray:
     """The j-th smallest (from 0) entry of each row of
     ``squared_distances(a, b)``, for stacks ``a`` (P, r, dim) and ``b``
-    (P, k, dim), j < k: a (P, r) array with the bits of the rule.
+    (P, k, dim), j < k: a (P, r) array with the bits of the rule. With
+    ``width`` (P,), each j < width[p], only the first width[p] columns of
+    partition p count: the rest are padding, set to +inf in every block
+    that is partitioned or cut.
 
     Below ``_GRAM_DIM`` coordinates it partitions that block. From there on
     it filters (see ``_gram_factors``). With tau the j-th smallest G of a row, which
@@ -232,16 +241,26 @@ def kth_squared_distances(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
     partition with no bound, or with a row whose entries in between cannot
     hold that rank, takes the direct block.
     """
+    pad = None if width is None else np.arange(b.shape[1]) >= np.asarray(width)[:, None, None]
+
+    def masked(block, pad=pad):
+        if pad is not None:
+            np.copyto(block, np.inf, where=pad)
+        return block
+
+    def direct(a, b, pad=pad):
+        return np.partition(masked(squared_distances(a, b), pad), j, axis=-1)[..., j]
+
     if not _filters(a, b):
-        return np.partition(squared_distances(a, b), j, axis=-1)[..., j]
+        return direct(a, b)
     left, right, delta = _gram_factors(a, b)
     g = _gram(left, right)
     parts, r, k = g.shape
     # Each row's j-th smallest, partitioned in place; then the block again,
     # which costs less than a copy of it (any evaluation keeps the bound).
-    g.partition(j, axis=-1)
+    masked(g).partition(j, axis=-1)
     tau = g[..., j].copy()
-    _gram(left, right, g)
+    masked(_gram(left, right, g))
     lo, hi = tau - 2.0 * delta[:, None], tau + 2.0 * delta[:, None]
     at = np.flatnonzero(g <= hi[..., None])
     row = at // k  # ascending
@@ -262,7 +281,7 @@ def kth_squared_distances(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
     out = out.reshape(parts, r)
     bad = np.isnan(delta) | ~ok.reshape(parts, r).all(axis=1)
     if bad.any():
-        out[bad] = np.partition(squared_distances(a[bad], b[bad]), j, axis=-1)[..., j]
+        out[bad] = direct(a[bad], b[bad], None if pad is None else pad[bad])
     return out
 
 
@@ -354,12 +373,16 @@ def copy_ranks(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, first
 
 
-def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
+def kth_distances(pts: np.ndarray, m: int, rows=None, width=None) -> np.ndarray:
     """Distance from each row of every partition of the (b, k, dim) stack
     ``pts`` to its m-th nearest other row of the partition, or its farthest
     when k <= m, as a (b, k) array; 0 when k <= 1. ``rows``, when given,
     picks the rows measured, the same in every partition, and the result is
-    (b, len(rows)).
+    (b, len(rows)). ``width`` (b,), when given, holds each partition's count
+    of rows, each above m: the slots past it are padding, which are
+    measured as rows but are no row's neighbours (see
+    ``kth_squared_distances``). So partitions of unequal sizes share a
+    stack, and each of their rows keeps the bits of its exact-size stack.
 
     The package's row-block k-th-neighbour routine: the pipeline's scan
     radii measure with it, and so do the pilot of ``canopy.kth_nearest``
@@ -385,8 +408,9 @@ def kth_distances(pts: np.ndarray, m: int, rows=None) -> np.ndarray:
     parts = max(1, _BLOCK_ENTRIES // (slab * k))
     for p in range(0, b, parts):
         group = pts[p : p + parts]
+        cols = None if width is None else width[p : p + parts]
         for lo in range(0, len(rows), slab):
-            sq = kth_squared_distances(group[:, rows[lo : lo + slab]], group, kth)
+            sq = kth_squared_distances(group[:, rows[lo : lo + slab]], group, kth, cols)
             out[p : p + parts, lo : lo + slab] = np.sqrt(sq)
     return out
 
@@ -396,27 +420,42 @@ def bounding_sphere(coords: np.ndarray) -> tuple[tuple[float, ...], float]:
 
     Two far-point passes pick a diameter estimate; the radius then expands to
     the farthest point so containment is guaranteed. This is
-    ``stacked_bounding_sphere`` of one partition.
+    ``bounding_spheres`` of one partition.
     """
     if len(coords) == 0:
         return (), 0.0
-    center, radius = stacked_bounding_sphere(coords[None])
+    center, radius = bounding_spheres(coords, np.arange(len(coords)), [0, len(coords)])
     return tuple(center[0].tolist()), float(radius[0])
 
 
-def stacked_bounding_sphere(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``bounding_sphere`` of each partition of a (b, k, dim) stack, k >= 1:
-    the (b, dim) centres and (b,) radii. Each partition starts from its
-    first row, and ties go to the lowest row."""
-    rows = np.arange(len(pts))
+def bounding_spheres(coords: np.ndarray, ids: np.ndarray, ptr) -> tuple[np.ndarray, np.ndarray]:
+    """``bounding_sphere`` of each partition, where partition i holds the
+    rows ``coords[ids[ptr[i]:ptr[i + 1]]]``, at least one: the (z, dim)
+    centres and (z,) radii, in three flat passes over ``ids``.
 
-    def sq_to(p):
-        return squared_distances(pts, p[:, None, :])[..., 0]
+    Each partition starts from its first row; p1 is its row farthest from
+    there and p2 its row farthest from p1, ties to the lowest position (the
+    first one that equals the partition's ``np.maximum.reduceat``), and the
+    sphere has the centre (p1 + p2) / 2 and the distance to the farthest row
+    from it as its radius."""
+    parts = np.arange(len(ptr) - 1)
+    owner = np.repeat(parts, np.diff(ptr))
 
-    p1 = pts[rows, np.argmax(sq_to(pts[:, 0]), axis=1)]
-    p2 = pts[rows, np.argmax(sq_to(p1), axis=1)]
-    center = (p1 + p2) / 2.0
-    return center, np.sqrt(sq_to(center).max(axis=1))
+    def farthest_sq(ref, at):
+        # Each row's squared distance to its partition's ``ref[at]``, and the
+        # partitions' largest.
+        sq = paired_squared_distances(coords, ids, ref, at[owner])
+        return sq, np.maximum.reduceat(sq, ptr[:-1])
+
+    def farthest(at):
+        sq, top = farthest_sq(coords, at)
+        hit = np.flatnonzero(sq == top[owner])  # ascending
+        return ids[hit[np.searchsorted(owner[hit], parts)]]  # each partition's first
+
+    p1 = farthest(ids[ptr[:-1]])
+    p2 = farthest(p1)
+    center = (coords[p1] + coords[p2]) / 2.0
+    return center, np.sqrt(farthest_sq(center, parts)[1])
 
 
 def distance(a: Point, b: Point) -> float:

@@ -41,10 +41,11 @@ from .core import (
     Partitions,
     RunStats,
     Sphere,
+    _GRAM_DIM,
+    bounding_spheres,
     copy_ranks,
     kth_distances,
     pair_order,
-    stacked_bounding_sphere,
 )
 from .density import DensityConfig, LocalLabeling, _lowest_linked, density_cluster, stacked_merge
 from .grid import Grid
@@ -154,23 +155,31 @@ def _surplus(parts: Partitions, copy_rank, first_copy, m):
     return at[surplus], src[surplus], np.flatnonzero(kept)
 
 
-def _stacked(at, counts, pad=1):
+def _classes(counts):
+    """Each count rounded up to a multiple of 8: the stack widths of the
+    merge, and of the scan radii where the filter runs."""
+    return (counts + 7) // 8 * 8
+
+
+def _stacked(at, counts, width=None):
     """Stacks of partitions for array passes: partition i owns the
     positions ``at[starts[i]:starts[i] + counts[i]]``, where ``starts`` is
-    the running sum of ``counts``. The non-empty partitions whose counts
-    round up to the same multiple of ``pad`` form one stack; yields, per
-    stack, the partitions and their (b, width) positions. A partition's
-    slots past its count are padding, which repeats some position.
+    the running sum of ``counts``. The non-empty partitions of equal
+    ``width`` (each at least its count; by default the count) form one
+    stack; yields, per stack, the partitions and their (b, width)
+    positions. A partition's slots past its count are padding, which
+    repeats its first position.
 
-    The scan-radius estimates stack by exact size (``pad`` 1) and the merge
-    by multiples of 8: on 2-D blobs each rule is the faster for its use.
+    The merge stacks by ``_classes`` of the counts; the scan radii by
+    ``_classes`` where the filter runs and by exact size elsewhere (see
+    ``_canopy_estimates``); the mean of the scan radius by exact size.
     """
     starts = np.cumsum(counts) - counts
-    width = (counts + pad - 1) // pad * pad
-    at = np.concatenate([at, np.repeat(at[-1:], pad - 1)])  # the last partition's padding
+    width = counts if width is None else width
     for w in np.unique(width[counts > 0]).tolist():
         group = np.flatnonzero(width == w)
-        yield group, at[starts[group, None] + np.arange(w)]
+        slot = np.arange(w)
+        yield group, at[starts[group, None] + np.where(slot < counts[group, None], slot, 0)]
 
 
 def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
@@ -180,25 +189,32 @@ def _canopy_estimates(coords, canopies, m, c, copy_rank, first_copy):
     id.
 
     Each canopy is measured without its surplus copies (see ``_surplus``
-    for the copies rule): canopies of equal kept size form one (b, k, dim)
-    stack for ``kth_distances`` and ``stacked_bounding_sphere``. Every kept
-    member gets its distance to its m-th nearest other member, and each
-    surplus copy takes its first copy's. The scan radius is c times the
-    mean over the full member row in ascending id, taken for the canopies
-    of equal full size together, so it keeps the bits of
-    ``estimate_epsilon`` on all members; the sphere keeps those of
-    ``bounding_sphere``.
+    for the copies rule). The spheres come from one flat pass of
+    ``bounding_spheres`` over the kept members. The m-th distances come
+    from ``kth_distances`` on (b, k, dim) stacks. From ``_GRAM_DIM``
+    coordinates on, where the filter can take a stack in one product, the
+    canopies of more than m + 1 kept members stack by ``_classes`` of
+    their kept size, with the padding masked by ``width``; the rest stack by
+    exact kept size, because their rank, min(m, k - 1), varies with it.
+    (Below ``_GRAM_DIM`` the padded blocks cost more than the extra calls.)
+    Every kept member gets its distance to its m-th nearest other member,
+    and each surplus copy takes its first copy's. The scan radius is c
+    times the mean over the full member row in ascending id, taken for the
+    canopies of equal full size together (numpy's pairwise sum depends on
+    the row length), so it keeps the bits of ``estimate_epsilon`` on all
+    members; the sphere keeps those of ``bounding_sphere``.
     """
     if not np.diff(canopies.ptr).all():
         raise ValueError("a canopy holds no point")
     drop, src, kept = _surplus(canopies, copy_rank, first_copy, m)
+    counts = np.bincount(canopies.owner[kept], minlength=len(canopies))
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    centers, radius = bounding_spheres(coords, canopies.members[kept], ptr)
+    padded = (counts > m + 1) & (coords.shape[1] >= _GRAM_DIM)
     kth = np.empty(len(canopies.members))
-    centers = np.empty((len(canopies), coords.shape[1]))
-    radius = np.empty(len(canopies))
-    for group, pos in _stacked(kept, np.bincount(canopies.owner[kept], minlength=len(canopies))):
-        pts = coords[canopies.members[pos]]
-        kth[pos] = kth_distances(pts, m)
-        centers[group], radius[group] = stacked_bounding_sphere(pts)
+    for group, pos in _stacked(kept, counts, np.where(padded, _classes(counts), counts)):
+        width = counts[group] if padded[group[0]] else None
+        kth[pos] = kth_distances(coords[canopies.members[pos]], m, width=width)
     kth[drop] = kth[src]
     eps = np.empty(len(canopies))
     for group, pos in _stacked(np.arange(len(kth)), np.diff(canopies.ptr)):
@@ -241,13 +257,14 @@ def build_regions(
     and every point lies inside its own canopy's sphere, so every point keeps
     a region; a region may shrink, and may be left empty.
 
-    Everything runs on arrays. The scan radii and spheres come from
-    ``kth_distances`` and ``stacked_bounding_sphere`` on stacks of the
-    canopies of one size, with the copies of a point past its (m + 1)-th
-    left out (see ``_canopy_estimates``, and ``_surplus`` for the copies
-    rule): one ``copy_ranks`` sort ranks every point among the points with
-    exactly its coordinates, by id, and the result also carries that rank
-    to the map. ``ValueError`` is raised when a canopy holds some of a
+    Everything runs on arrays. The spheres come from one flat pass of
+    ``bounding_spheres`` over every canopy, and the scan radii from
+    ``kth_distances`` on stacks of canopies of one kept size, or, from
+    ``_GRAM_DIM`` coordinates on, of one size class, with the copies of a
+    point past its (m + 1)-th left out (see ``_canopy_estimates``, and
+    ``_surplus`` for the copies rule): one ``copy_ranks`` sort ranks every
+    point among the points with exactly its coordinates, by id, and the
+    result also carries that rank to the map. ``ValueError`` is raised when a canopy holds some of a
     point's copies but not all, which no sweep gives. A ``Grid`` with cells
     about a region radius wide (see ``_region_side``) finds the members of every
     region, with their squared distances, in one chunked pass over the
@@ -343,7 +360,7 @@ def _map_regions(data: Dataset, regions: Regions, m: int):
     labels = np.full(len(members), NOISE, dtype=np.intp)
     core = np.zeros(len(members), dtype=bool)
     counts = np.bincount(owner[kept], minlength=len(sizes))
-    for cls, pos in _stacked(kept, counts, 8):
+    for cls, pos in _stacked(kept, counts, _classes(counts)):
         valid = np.arange(pos.shape[1]) < counts[cls, None]
         ids = np.where(valid, members[pos], -1)
         cls_labels, cls_core = stacked_merge(data.coords, ids, epsilon[cls], m)

@@ -106,6 +106,37 @@ def test_kth_others_filter_keeps_the_rule_bits(route, dim):
                 assert hexes(want) == hexes(kth_distances(coords[None], m)[0]), (name, m, reach)
 
 
+@pytest.mark.parametrize("dim", (2, 8))
+@pytest.mark.parametrize("filtered", (False, True))
+def test_kth_distances_masks_padding_by_width(route, dim, filtered):
+    # Partitions of unequal sizes above m, padded to a multiple of 8 with
+    # copies of their first row, give every row the bits of the partition's
+    # exact-size stack on the direct route, whichever route measures the
+    # padded stack, in whole partitions and in row slabs (past 256 rows),
+    # for all rows and for chosen ones. Every second partition lies on a
+    # lattice, so its distances tie. Unmasked, the 7 padding copies of the
+    # 9-row partition's first row would be that row's m nearest.
+    m = 4
+    rng = np.random.default_rng(dim)
+    for sizes in ((5, 6, 8), (9, 13, 16), (300, 257)):
+        parts = [rng.integers(0, 3, size=(k, dim)).astype(float) if i % 2 else rng.normal(size=(k, dim)) for i, k in enumerate(sizes)]
+        width = -(-max(sizes) // 8) * 8
+        pts = np.stack([np.concatenate([p, np.repeat(p[:1], width - len(p), axis=0)]) for p in parts])
+        counts = np.array(sizes)
+        rows = np.arange(0, min(sizes), 3)
+        route(False)
+        want = [kth_distances(p[None], m)[0] for p in parts]
+        unmasked = kth_distances(pts, m)
+        route(filtered)
+        got = kth_distances(pts, m, width=counts)
+        chosen = kth_distances(pts, m, rows, width=counts)
+        for p, k in enumerate(sizes):
+            assert hexes(got[p, :k]) == hexes(want[p]), (sizes, p)
+            assert hexes(chosen[p]) == hexes(want[p][rows]), (sizes, p)
+            if k == 9:
+                assert unmasked[p, 0] == 0 < want[p][0]
+
+
 def pair_radii(coords, count):
     """``count`` radii that are exact distances of pairs of ``coords`` by
     the rule, spread over their range: points placed at exactly the

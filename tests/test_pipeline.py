@@ -17,10 +17,10 @@ from dapclust.core import (
     NOISE,
     Dataset,
     bounding_sphere,
+    bounding_spheres,
     kth_distances,
     squared_distances,
     squared_distances_to,
-    stacked_bounding_sphere,
 )
 from dapclust.datagen import make_blobs, make_bridge, make_density_pair
 from dapclust.density import (
@@ -457,7 +457,7 @@ def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
             v.hex() for v in kth[:, rows].ravel().tolist()
         ]
         epsilon = c * kth.mean(axis=1)
-        centers, radii = stacked_bounding_sphere(pts)
+        centers, radii = bounding_spheres(pts.reshape(b * k, dim), np.arange(b * k), np.arange(0, b * k + 1, k))
         for p in range(b):
             got = [
                 *kth[p].tolist(),
@@ -473,14 +473,50 @@ def test_stacked_estimates_bit_identical_to_scalar_rule(dim):
             assert [v.hex() for v in got] == [v.hex() for v in want], (k, p)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_flat_spheres_bit_identical_to_scalar_rule(dim):
+    # bounding_spheres over ragged partitions whose rows lie scattered
+    # through the array, against the scalar rule partition by partition, to
+    # the last bit. The rows lie on an integer lattice, so farthest points
+    # tie and must go to the lowest row, and every second partition is
+    # three of its rows repeated. From 2-D on, one more partition has two
+    # farthest rows from its first, (2, 0) and (0, 2), and from (0, 2) the
+    # sphere would come out elsewhere.
+    m = 4
+    rng = np.random.default_rng(dim)
+    parts = []
+    for i, k in enumerate((1, 2, m, m + 1, 9, 129, 300)):
+        rows = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        parts.append(rows[rng.integers(0, min(3, k), size=k)] if i % 2 else rows)
+    if dim >= 2:
+        parts.append(np.zeros((4, dim)))
+        parts[-1][:, :2] = [(0, 0), (2, 0), (0, 2), (-1, -1)]
+    ids = rng.permutation(sum(map(len, parts)))
+    coords = np.empty((len(ids), dim))
+    coords[ids] = np.concatenate(parts)
+    ptr = np.cumsum([0, *map(len, parts)])
+    centers, radii = bounding_spheres(coords, ids, ptr)
+    ties = 0
+    for p, rows in enumerate(parts):
+        rows = [tuple(row) for row in rows.tolist()]
+        *_, center, radius = scalar_estimates(rows, m, 1.0)
+        got = [*centers[p].tolist(), float(radii[p])]
+        assert [v.hex() for v in got] == [v.hex() for v in [*center, radius]], p
+        sq = squared_distances_to(rows[0], rows)
+        sq1 = squared_distances_to(rows[sq.index(max(sq))], rows)
+        ties += len(rows) > 1 and (sq.count(max(sq)) > 1 or sq1.count(max(sq1)) > 1)
+    assert ties >= 3
+
+
 def test_region_estimates_match_per_canopy_rule():
-    # build_regions gathers canopies of one size into a stack: each region
-    # keeps its own canopy's scan radius and sphere, measured on the
-    # members in ascending id, and inflated by the scan radius. At d = 2
-    # and 8, blobs with one point repeated m + 2 times and one 300 times,
-    # and two far locations repeated as often on their own, shuffled: the
-    # canopies that hold them are measured without the copies past the
-    # (m + 1)-th, and must still give the bits of the rule on all members.
+    # build_regions stacks the canopies and takes their spheres in one flat
+    # pass: each region keeps its own canopy's scan radius and sphere,
+    # measured on the members in ascending id, and inflated by the scan
+    # radius. At d = 2 and 8, blobs with one point repeated m + 2 times and
+    # one 300 times, and two far locations repeated as often on their own,
+    # shuffled: the canopies that hold them are measured without the
+    # copies past the (m + 1)-th, and must still give the bits of the rule
+    # on all members.
     cfg = PipelineConfig(m=4, c=1.3)
     blobs, _ = make_blobs(1500, 4, seed=31)
     inputs = [blobs]
@@ -614,20 +650,20 @@ def test_identical_points_cost_at_most_m_plus_one_rows(n, dim, monkeypatch):
     def spy(name, rows_of):
         real = getattr(pipeline, name)
 
-        def wrapped(*args):
-            widths.append((name, rows_of(*args)))
-            return real(*args)
+        def wrapped(*args, **kwargs):
+            widths.append((name, rows_of(*args, **kwargs)))
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, wrapped)
 
     spy("stacked_merge", lambda coords, ids, epsilon, m: int((ids >= 0).sum(axis=1).max()))
-    spy("kth_distances", lambda pts, m: pts.shape[1])
-    spy("stacked_bounding_sphere", lambda pts: pts.shape[1])
+    spy("kth_distances", lambda pts, m, width=None: pts.shape[1] if width is None else int(width.max()))
+    spy("bounding_spheres", lambda coords, ids, ptr: int(np.diff(ptr).max()))
     res = cluster(Dataset.from_coords(np.full((n, dim), 0.5)), PipelineConfig(m=m))
     assert res.labels == [0] * n
     assert res.core_flags == set(range(n))
     assert res.stats.repeat_points == n - (m + 1)
-    assert {name for name, _ in widths} >= {"stacked_merge", "kth_distances", "stacked_bounding_sphere"}
+    assert {name for name, _ in widths} >= {"stacked_merge", "kth_distances", "bounding_spheres"}
     assert max(w for _, w in widths) <= m + 1
 
 
@@ -635,31 +671,40 @@ def test_thinned_canopies_are_stacked_by_kept_size(monkeypatch):
     # Blobs rounded to a 0.5 grid: 266 of 566 canopies hold a location more
     # than m + 1 times. Canopies are measured without the copies past the
     # (m + 1)-th, stacked by the size that is left, so kth_distances runs
-    # once per distinct kept size, not once per thinned canopy, and no call
-    # sees more than m + 1 copies of a location.
+    # once per stack width, not once per thinned canopy, and no call's valid
+    # columns hold more than m + 1 copies of a location. In 2-D each kept
+    # size is its own stack. The same points with six zero coordinates
+    # added, where the filter runs, stack a kept size above m + 1 by its
+    # class (rounded up to a multiple of 8) and mask the padding by width.
     m = 4
-    data = Dataset.from_coords(np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2)
-    canopies = canopy_cluster(data, estimate_thresholds(data, m))
-    kept_sizes, thinned = set(), 0
-    for canopy in canopies:
-        copies = Counter(data.coords[i].tobytes() for i in canopy.member_ids)
-        kept = sum(min(count, m + 1) for count in copies.values())
-        kept_sizes.add(kept)
-        thinned += kept < len(canopy.member_ids)
-    assert thinned > 0.4 * len(canopies)
-    calls = []
+    rounded = np.round(make_blobs(6000, 5, seed=1)[0].coords * 2) / 2
     real = pipeline.kth_distances
+    for dim in (2, 8):
+        data = Dataset.from_coords(np.hstack([rounded, np.zeros((len(rounded), dim - 2))]))
+        canopies = canopy_cluster(data, estimate_thresholds(data, m))
+        kept_sizes, thinned = set(), 0
+        for canopy in canopies:
+            copies = Counter(data.coords[i].tobytes() for i in canopy.member_ids)
+            kept = sum(min(count, m + 1) for count in copies.values())
+            kept_sizes.add(kept)
+            thinned += kept < len(canopy.member_ids)
+        assert thinned > 0.4 * len(canopies)
+        calls = []
 
-    def spy(pts, m):
-        calls.append(pts)
-        return real(pts, m)
+        def spy(pts, m, width=None):
+            calls.append((pts, width))
+            return real(pts, m, width=width)
 
-    monkeypatch.setattr(pipeline, "kth_distances", spy)
-    build_regions(data, canopies, PipelineConfig(m=m))
-    assert sorted(pts.shape[1] for pts in calls) == sorted(kept_sizes)
-    for pts in calls:
-        for part in pts:
-            assert max(Counter(row.tobytes() for row in part).values()) <= m + 1
+        monkeypatch.setattr(pipeline, "kth_distances", spy)
+        build_regions(data, canopies, PipelineConfig(m=m))
+        want = {-(-k // 8) * 8 if dim == 8 and k > m + 1 else k for k in kept_sizes}
+        assert sorted(pts.shape[1] for pts, _ in calls) == sorted(want)
+        assert len(want) < len(kept_sizes) if dim == 8 else want == kept_sizes
+        for pts, width in calls:
+            valid = np.full(len(pts), pts.shape[1]) if width is None else width
+            assert (width is None) == (dim == 2 or pts.shape[1] <= m + 1)
+            for part, k in zip(pts, valid.tolist()):
+                assert max(Counter(row.tobytes() for row in part[:k]).values()) <= m + 1
 
 
 def _repeat_heavy_inputs():

@@ -17,9 +17,11 @@ sample, 1,500 uniform points in 8-D, 5-D blobs with a sparse halo whose
 rows take the cell blocks' second round (the input of
 ``test_kth_nearest_cell_route_matches_row_blocks``), 8-D blobs of spread
 1e-3 offset by 1e8, 1,200 normal points in 16-D, which the distance
-filter of ``core`` measures, and ``make_blobs(2000, 5, seed=1)`` tiled five
-times, whose copies lie 2,000 ids apart and fill the thresholds' sample; at
-some versions of the package some of these take tens of seconds.
+filter of ``core`` measures, ``make_blobs(2000, 5, seed=1)`` tiled five
+times, whose copies lie 2,000 ids apart and fill the thresholds' sample, and
+1,500 points of the 8-D integer lattice {0, 1, 2}^8, whose canopies' farthest
+points tie; at some versions of the package some of these take tens of
+seconds.
 
 Each line holds the input's name, its m, ``estimate_thresholds``' t1 and
 t2 as float hex at m = 3, 4 and 8, ``estimate_epsilon`` over every row at
@@ -136,6 +138,9 @@ def adversarial_inputs():
     yield "adversarial/normal_d16", np.random.default_rng(16).normal(size=(1200, 16)), 4
     # Five copies of every point, 2,000 ids apart.
     yield "adversarial/blobs_tiled_x5", np.tile(make_blobs(2_000, 5, seed=1)[0].coords, (5, 1)), 4
+    # Integer coordinates: most canopies' farthest points tie, which the
+    # spheres break by the lowest row; some points repeat.
+    yield "adversarial/lattice_d8", np.random.default_rng(8).integers(0, 3, size=(1500, 8)).astype(float), 4
 
 
 def line(name: str, coords, m: int, naive: bool) -> dict:
