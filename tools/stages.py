@@ -1,6 +1,6 @@
 """Stage times of ``cluster`` in two checkouts, measured in one process, so
-that a change's stage bounds can be compared with its parent's in one
-session.
+that a change's stage bounds can be compared with its parent's under the
+same machine load.
 
 Usage, from the repository root:
 
